@@ -65,6 +65,9 @@ pub enum IoError {
     UnknownFile(String),
     /// The parsed workflow fails structural validation.
     Workflow(WorkflowError),
+    /// The per-core speed used to convert observed runtimes into work
+    /// is not a positive finite number.
+    InvalidSpeed(f64),
 }
 
 impl std::fmt::Display for IoError {
@@ -73,6 +76,7 @@ impl std::fmt::Display for IoError {
             IoError::Json(e) => write!(f, "invalid workflow JSON: {e}"),
             IoError::UnknownFile(n) => write!(f, "task references undeclared file {n:?}"),
             IoError::Workflow(e) => write!(f, "invalid workflow: {e}"),
+            IoError::InvalidSpeed(s) => write!(f, "per-core speed must be positive, got {s}"),
         }
     }
 }

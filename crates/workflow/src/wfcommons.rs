@@ -23,12 +23,12 @@ use crate::io::IoError;
 /// Imports a WfCommons/WfFormat JSON document.
 ///
 /// `gflops_per_core` is the per-core speed (GFlop/s) used to convert
-/// observed runtimes into platform-independent work.
+/// observed runtimes into platform-independent work; a speed that is
+/// not a positive finite number is an [`IoError::InvalidSpeed`].
 pub fn from_wfcommons_json(json: &str, gflops_per_core: f64) -> Result<Workflow, IoError> {
-    assert!(
-        gflops_per_core.is_finite() && gflops_per_core > 0.0,
-        "per-core speed must be positive, got {gflops_per_core}"
-    );
+    if !(gflops_per_core.is_finite() && gflops_per_core > 0.0) {
+        return Err(IoError::InvalidSpeed(gflops_per_core));
+    }
     let doc: serde_json::Value = serde_json::from_str(json).map_err(IoError::Json)?;
     let name = doc
         .get("name")
@@ -315,8 +315,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "per-core speed must be positive")]
-    fn zero_speed_is_rejected() {
-        let _ = from_wfcommons_json("{}", 0.0);
+    fn non_positive_speed_is_an_error() {
+        for speed in [0.0, -1.0, f64::NAN] {
+            let err = from_wfcommons_json(SAMPLE, speed).unwrap_err();
+            assert!(
+                matches!(err, IoError::InvalidSpeed(s) if s.to_bits() == speed.to_bits()),
+                "{speed}: {err}"
+            );
+            assert!(err.to_string().contains("per-core speed must be positive"));
+        }
     }
 }
