@@ -16,4 +16,4 @@
 //! `results/`.
 
 /// Benchmarked figure ids, re-exported for the `figures` bench.
-pub const FIGURE_IDS: [&str; 23] = wfbb_experiments::figures::NAMES;
+pub const FIGURE_IDS: [&str; 22] = wfbb_experiments::figures::NAMES;

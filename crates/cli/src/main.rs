@@ -58,7 +58,6 @@ usage:
                 [--policy fcfs|easy|bb-aware|plan] [--plan-horizon <s>]
                 (--workload <file> | [--jobs <n>] [--seed <s>]
                  [--mean-interarrival <s>] [--bb-scale <f>] [--max-nodes <n>])
-                [--solver naive|incremental] [--solver-threads <n>]
                 [--faults <spec|file>] [--checkpoint <spec>]
                 [--csv <path>] [--json <path>] [--trace-out <path>]
                 [--decision-log <path>] [--explain-sched <k>]
@@ -106,13 +105,6 @@ campaign scheduling (see docs/scheduler.md):
   --progress     stderr heartbeat (sim time, jobs admitted/finished, queue
                  depth, wall-clock) plus a final scheduler wall-clock
                  profile; never alters stdout or any artifact bytes
-
-performance (see docs/performance.md):
-  --solver-threads  0 (default) keeps the monolithic fair-share solve;
-                 n >= 1 partitions each solve into connected components and
-                 runs them on n worker threads (build with `--features
-                 parallel` for real threads; without it the decomposition
-                 still applies, executed serially with identical results)
 
 fault injection (see docs/failure-model.md):
   --faults       comma/newline-separated events, or a path to a spec file:
@@ -192,8 +184,6 @@ fn run(raw: &[String]) -> Result<(), CliError> {
                 "mean-interarrival",
                 "bb-scale",
                 "max-nodes",
-                "solver",
-                "solver-threads",
                 "faults",
                 "checkpoint",
                 "csv",
@@ -396,19 +386,6 @@ fn campaign(args: &Args) -> Result<(), CliError> {
     if !plan_horizon.is_finite() || plan_horizon <= 0.0 {
         return Err(CliError("--plan-horizon must be a positive number".into()));
     }
-    let solve_mode = match args.get_or("solver", "incremental") {
-        "incremental" => wfbb_simcore::SolveMode::Incremental,
-        "naive" => wfbb_simcore::SolveMode::Naive,
-        other => {
-            return Err(CliError(format!(
-                "unrecognized solver {other:?} (expected naive or incremental)"
-            )))
-        }
-    };
-    let solver_threads: usize = args
-        .get_or("solver-threads", "0")
-        .parse()
-        .map_err(|_| CliError("bad --solver-threads value".into()))?;
 
     let mut jobs = if let Some(path) = args.get("workload") {
         let text = std::fs::read_to_string(path)
@@ -474,10 +451,8 @@ fn campaign(args: &Args) -> Result<(), CliError> {
 
     let mut config = CampaignConfig::new(platform)
         .with_policy(policy)
-        .with_solve_mode(solve_mode)
         .with_platform_label(platform_spec)
         .with_plan_horizon(plan_horizon)
-        .with_solver_threads(solver_threads)
         .with_decision_log(want_log);
     if let Some(spec) = args.get("faults") {
         // Campaign-scope capacity faults; `CampaignSim::new` rejects

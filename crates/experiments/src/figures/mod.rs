@@ -17,7 +17,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod heuristics;
 pub mod optimality;
-pub mod parallel_scaling;
 pub mod plan_scheduling;
 pub mod refit;
 pub mod resilience;
@@ -28,7 +27,7 @@ use crate::table::Table;
 
 /// Known experiment names: the paper's tables/figures in order, then the
 /// extension experiments (placement heuristics, model ablation).
-pub const NAMES: [&str; 23] = [
+pub const NAMES: [&str; 22] = [
     "table1",
     "fig04",
     "fig05",
@@ -50,7 +49,6 @@ pub const NAMES: [&str; 23] = [
     "resilience",
     "campaign",
     "plan_scheduling",
-    "parallel_scaling",
     "checkpoint_economics",
 ];
 
@@ -78,7 +76,6 @@ pub fn by_name(name: &str) -> Option<fn() -> Vec<Table>> {
         "resilience" => Some(resilience::run),
         "campaign" => Some(campaign::run),
         "plan_scheduling" => Some(plan_scheduling::run),
-        "parallel_scaling" => Some(parallel_scaling::run),
         "checkpoint_economics" => Some(checkpoint_economics::run),
         _ => None,
     }

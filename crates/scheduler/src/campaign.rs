@@ -108,13 +108,6 @@ pub struct CampaignConfig {
     /// the scheduling point ([`DEFAULT_PLAN_HORIZON`] by default).
     /// Ignored by the other policies.
     pub plan_horizon: f64,
-    /// Solver threads for the shared engine: `0` (the default) keeps the
-    /// monolithic fair-share solve; `n ≥ 1` turns on the
-    /// connected-component decomposition with `n` worker threads (see
-    /// `wfbb_simcore::partition`). Results never depend on the thread
-    /// count, only on whether partitioning is on at all — and then only
-    /// by sub-`EPSILON` tolerance ties.
-    pub solver_threads: usize,
     /// Collect the structured [`DecisionLog`] (off by default). Purely
     /// additive observability: the per-job wait decomposition is always
     /// accrued, and enabling the log leaves every [`CampaignReport`]
@@ -143,7 +136,6 @@ impl CampaignConfig {
             io_concurrency: None,
             node_scheduler: SchedulerPolicy::default(),
             plan_horizon: DEFAULT_PLAN_HORIZON,
-            solver_threads: 0,
             log_decisions: false,
             faults: FaultSpec::new(),
         }
@@ -170,13 +162,6 @@ impl CampaignConfig {
     /// Sets the `plan` policy's lookahead horizon, seconds.
     pub fn with_plan_horizon(mut self, horizon: f64) -> Self {
         self.plan_horizon = horizon;
-        self
-    }
-
-    /// Enables partitioned solving with `threads` worker threads (`0`
-    /// restores the default monolithic solve).
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver_threads = threads;
         self
     }
 
@@ -399,10 +384,6 @@ impl<'a> CampaignSim<'a> {
         let mut engine = Engine::new();
         engine.set_solve_mode(config.solve_mode);
         engine.set_telemetry_config(config.telemetry.clone());
-        if config.solver_threads > 0 {
-            engine.set_partition(true);
-            engine.set_solver_threads(config.solver_threads);
-        }
         let instance = config.platform.instantiate(&mut engine);
         let total_nodes = instance.nodes();
         let bb_devices = instance.bb_devices();
@@ -590,8 +571,8 @@ impl<'a> CampaignSim<'a> {
     }
 
     /// Cumulative counters of the shared engine (solves, events, component
-    /// decomposition stats, ...). Useful for sizing campaigns in benchmarks
-    /// and for the `parallel_scaling` experiment; see docs/performance.md.
+    /// decomposition stats, ...). Useful for sizing campaigns in benchmarks;
+    /// see docs/performance.md.
     pub fn counters(&self) -> wfbb_simcore::EngineCounters {
         *self.engine.borrow().counters()
     }

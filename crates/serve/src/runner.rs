@@ -230,20 +230,14 @@ fn run_campaign_job(
             parse_workload(text).map_err(|e| RunError::Failed(e.to_string()))?
         }
     };
-    let solve_mode = match req.solver.as_str() {
-        "naive" => wfbb_simcore::SolveMode::Naive,
-        _ => wfbb_simcore::SolveMode::Incremental,
-    };
     // Mirror the CLI campaign construction (with the decision log
     // always on — it never perturbs report bytes, pinned by
     // tests/decision_log.rs — so the artifact set always includes
     // decisions.jsonl and the decision-annotated trace).
     let config = CampaignConfig::new(platform)
         .with_policy(req.policy)
-        .with_solve_mode(solve_mode)
         .with_platform_label(&req.platform)
         .with_plan_horizon(req.plan_horizon)
-        .with_solver_threads(req.solver_threads)
         .with_decision_log(true);
     let mut sim = CampaignSim::new(&config, &jobs).map_err(|e| RunError::Failed(e.to_string()))?;
     let mut events = 0u64;

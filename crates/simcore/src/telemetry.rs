@@ -235,8 +235,9 @@ pub struct EngineCounters {
     pub fastpath_events: u64,
     /// Integration spans applied with `dt > 0`.
     pub integrations: u64,
-    /// Solves that went through the connected-component partitioner
-    /// (zero unless [`crate::EngineConfig::partition`] is on).
+    /// Solves that went through the connected-component partitioner:
+    /// every [`crate::SolveMode::Incremental`] solve, none in
+    /// [`crate::SolveMode::Naive`].
     pub partitioned_solves: u64,
     /// Connected components summed over all partitioned solves; divide by
     /// `partitioned_solves` for the mean decomposition width.

@@ -14,7 +14,7 @@ Defaults: ``target/criterion`` and ``BENCH_engine.json``. With
 ``--groups``, only benchmark ids whose first path component is one of
 the named Criterion groups are summarized — so one criterion tree can
 feed several summary files (e.g. ``--groups campaign_throughput
-campaign_parallel`` for the scheduler summary).
+decision_log`` for the scheduler summary).
 
 A requested group with no estimates (not yet sampled, renamed, or an
 empty directory) still gets a stable entry: a warning on stderr and a

@@ -1,9 +1,8 @@
 //! Scheduler decision-log acceptance tests: bitwise determinism of the
-//! JSONL export (per solve mode and across solver thread counts),
-//! byte-identity of the campaign report with the log on vs. off, the
-//! exact wait-decomposition identity on the oversubscribed 20-job
-//! acceptance workload, plan-search records, and a golden-file pin of
-//! the JSONL schema (regenerate with
+//! JSONL export (per solve mode), byte-identity of the campaign report
+//! with the log on vs. off, the exact wait-decomposition identity on the
+//! oversubscribed 20-job acceptance workload, plan-search records, and a
+//! golden-file pin of the JSONL schema (regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test decision_log`).
 
 use proptest::prelude::*;
@@ -128,7 +127,7 @@ fn decision_jsonl_lines_all_parse_and_cover_schema() {
 /// Same seed, same solve mode ⇒ bitwise-identical decision logs; and the
 /// partitioned solver's thread count never leaks into the log.
 #[test]
-fn decision_log_is_bitwise_deterministic_per_mode_and_across_threads() {
+fn decision_log_is_bitwise_deterministic_per_mode() {
     let jobs = pressured_campaign();
     for mode in [SolveMode::Incremental, SolveMode::Naive] {
         let a = run_campaign_logged(&config(BatchPolicy::BbAware).with_solve_mode(mode), &jobs)
@@ -142,16 +141,6 @@ fn decision_log_is_bitwise_deterministic_per_mode_and_across_threads() {
         );
         assert_eq!(a.report.to_json(), b.report.to_json());
     }
-    let t1 =
-        run_campaign_logged(&config(BatchPolicy::BbAware).with_solver_threads(1), &jobs).unwrap();
-    let t4 =
-        run_campaign_logged(&config(BatchPolicy::BbAware).with_solver_threads(4), &jobs).unwrap();
-    assert_eq!(
-        t1.log.to_jsonl(),
-        t4.log.to_jsonl(),
-        "solver thread count must not change the decision log"
-    );
-    assert_eq!(t1.report.to_json(), t4.report.to_json());
 }
 
 /// Enabling the decision log leaves the campaign report byte-identical —
@@ -279,12 +268,11 @@ fn plan_policy_logs_ordering_searches() {
 }
 
 /// The decision lane survives into the campaign Perfetto trace, and the
-/// partition counters surface in both exports when partitioning is on.
+/// partition counters surface in both exports.
 #[test]
 fn perfetto_and_jsonl_surface_decisions_and_partition_counters() {
     let jobs = small_campaign(20260806, 8);
-    let run =
-        run_campaign_logged(&config(BatchPolicy::BbAware).with_solver_threads(2), &jobs).unwrap();
+    let run = run_campaign_logged(&config(BatchPolicy::BbAware), &jobs).unwrap();
     let trace = run.report.perfetto_trace_with_decisions(&run.log);
     assert!(trace.contains("\"name\":\"scheduler\""), "decision lane");
     assert!(trace.contains("\"name\":\"bb_pool_free\""), "pool counter");

@@ -1,21 +1,17 @@
-//! Partitioned-solve determinism contract tests.
+//! Component-solve contract tests.
 //!
-//! The pinned guarantees (`docs/performance.md`):
+//! [`SolveMode::Incremental`] solves every epoch by connected components
+//! over shared resources; [`SolveMode::Naive`] keeps the monolithic
+//! progressive-filling pass as the reference. The pinned guarantees
+//! (`docs/performance.md`):
 //!
-//! 1. **Thread count never changes bits.** With the connected-component
-//!    decomposition on (`EngineConfig::partition`), running with 1, 2, 4,
-//!    or 8 solver threads produces bitwise-identical completion streams —
-//!    ids, tags, and the exact `f64` bit patterns of completion times —
-//!    in both solve modes, with and without capacity faults. Parallelism
-//!    is a wall-clock optimization only.
-//! 2. **Partitioned ≈ monolithic.** The partitioned allocation may differ
+//! 1. **Partitioned ≈ monolithic.** The partitioned allocation may differ
 //!    from the single-pass solve only through cross-component tolerance
 //!    ties, far below the engine's `EPSILON`; completion times agree to
 //!    the same 1e-9 relative tolerance as the `SolveMode` A/B suite.
-//! 3. **Snapshot/fork replay holds with parallelism on.** Restoring a
-//!    snapshot taken mid-run from a partitioned, multi-threaded engine
-//!    replays bitwise, exactly as `docs/snapshot.md` promises for the
-//!    default path.
+//! 2. **Snapshot/fork replay is bitwise.** Restoring a snapshot taken
+//!    mid-run replays bitwise in both modes, with and without capacity
+//!    faults, exactly as `docs/snapshot.md` promises.
 //!
 //! Degenerate decompositions — one giant component, all singletons, and a
 //! component merge mid-run when a latent flow opens a shared route — are
@@ -24,7 +20,6 @@
 
 use proptest::prelude::*;
 
-use wfbb::sched::{run_campaign, synthetic_jobs, BatchPolicy, CampaignConfig, SyntheticConfig};
 use wfbb::simcore::{ActivityId, Engine, EngineConfig, FaultPlan, FlowSpec, SolveMode};
 
 // ---- randomized engine scenarios ----------------------------------------
@@ -37,25 +32,15 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Engine knobs one scenario run varies.
-#[derive(Clone, Copy)]
-struct Solver {
-    mode: SolveMode,
-    partition: bool,
-    threads: usize,
-}
-
 /// Builds a seeded scenario shaped like a campaign epoch: several disjoint
 /// resource groups (a node's cores, a carved BB share) plus one "PFS"
 /// resource that a minority of flows cross, so solves decompose into many
 /// components with one larger shared one. Latencies stagger streaming-set
 /// entry, rate caps mix binding kinds, and an optional fault plan hits
 /// both grouped and shared resources.
-fn build_engine(seed: u64, solver: Solver, with_faults: bool) -> Engine<u64> {
+fn build_engine(seed: u64, mode: SolveMode, with_faults: bool) -> Engine<u64> {
     let mut engine: Engine<u64> = Engine::with_config(EngineConfig {
-        solve_mode: solver.mode,
-        partition: solver.partition,
-        solver_threads: solver.threads,
+        solve_mode: mode,
         ..Default::default()
     });
     let mut s = seed.wrapping_mul(2).wrapping_add(1);
@@ -129,81 +114,52 @@ fn drain(engine: &mut Engine<u64>) -> (Vec<Event>, Option<String>) {
     }
 }
 
+/// Asserts two drains agree to the A/B suite's tolerance: identical event
+/// order, ids, tags and outcome, completion times within 1e-9 relative.
+fn assert_close(mono: &(Vec<Event>, Option<String>), part: &(Vec<Event>, Option<String>)) {
+    assert_eq!(mono.1.is_some(), part.1.is_some());
+    assert_eq!(mono.0.len(), part.0.len());
+    for (m, p) in mono.0.iter().zip(&part.0) {
+        assert_eq!((m.0, m.1), (p.0, p.1));
+        let (tm, tp) = (f64::from_bits(m.2), f64::from_bits(p.2));
+        assert!(
+            (tm - tp).abs() <= 1e-9 * tm.abs().max(1.0),
+            "times differ: {tm} vs {tp}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Solver thread count never changes a single bit of the execution,
-    /// in either solve mode, with and without capacity faults.
-    #[test]
-    fn thread_count_never_changes_bits(
-        seed in 0u64..10_000,
-        faulty in 0u64..2,
-    ) {
-        let with_faults = faulty == 1;
-        for mode in [SolveMode::Naive, SolveMode::Incremental] {
-            let serial = drain(&mut build_engine(
-                seed,
-                Solver { mode, partition: true, threads: 1 },
-                with_faults,
-            ));
-            for threads in [2usize, 4, 8] {
-                let parallel = drain(&mut build_engine(
-                    seed,
-                    Solver { mode, partition: true, threads },
-                    with_faults,
-                ));
-                prop_assert_eq!(&serial, &parallel,
-                    "threads={} diverged from serial (mode {:?})", threads, mode);
-            }
-        }
-    }
-
-    /// The partitioned solve agrees with the monolithic one to the same
-    /// 1e-9 relative tolerance the SolveMode A/B suite uses: identical
-    /// event order and tags, times within tolerance.
+    /// The partitioned solve (`Incremental`) agrees with the monolithic
+    /// one (`Naive`) to the same 1e-9 relative tolerance the SolveMode
+    /// A/B suite uses: identical event order and tags, times within
+    /// tolerance.
     #[test]
     fn partitioned_matches_monolithic(
         seed in 0u64..10_000,
         faulty in 0u64..2,
     ) {
         let with_faults = faulty == 1;
-        for mode in [SolveMode::Naive, SolveMode::Incremental] {
-            let (mono, mono_err) = drain(&mut build_engine(
-                seed,
-                Solver { mode, partition: false, threads: 1 },
-                with_faults,
-            ));
-            let (part, part_err) = drain(&mut build_engine(
-                seed,
-                Solver { mode, partition: true, threads: 4 },
-                with_faults,
-            ));
-            prop_assert_eq!(mono_err.is_some(), part_err.is_some());
-            prop_assert_eq!(mono.len(), part.len());
-            for (m, p) in mono.iter().zip(&part) {
-                prop_assert_eq!(m.0, p.0);
-                prop_assert_eq!(m.1, p.1);
-                let (tm, tp) = (f64::from_bits(m.2), f64::from_bits(p.2));
-                prop_assert!((tm - tp).abs() <= 1e-9 * tm.abs().max(1.0),
-                    "times differ: {} vs {}", tm, tp);
-            }
-        }
+        assert_close(
+            &drain(&mut build_engine(seed, SolveMode::Naive, with_faults)),
+            &drain(&mut build_engine(seed, SolveMode::Incremental, with_faults)),
+        );
     }
 
-    /// Snapshot/fork replay is bitwise with partitioning and parallelism
-    /// on: restoring a mid-run snapshot and draining matches the
-    /// uninterrupted run exactly, and a fork drains identically to its
-    /// original.
+    /// Snapshot/fork replay is bitwise in both modes: restoring a mid-run
+    /// snapshot and draining matches the uninterrupted run exactly, and a
+    /// fork drains identically to its original.
     #[test]
-    fn snapshot_fork_replay_bitwise_with_parallelism(
+    fn snapshot_fork_replay_is_bitwise(
         seed in 0u64..10_000,
         snap_at in 0usize..12,
         faulty in 0u64..2,
     ) {
         let with_faults = faulty == 1;
         for mode in [SolveMode::Naive, SolveMode::Incremental] {
-            let solver = Solver { mode, partition: true, threads: 4 };
-            let mut original = build_engine(seed, solver, with_faults);
+            let mut original = build_engine(seed, mode, with_faults);
             for _ in 0..snap_at {
                 match original.try_step() {
                     Ok(Some(_)) => {}
@@ -214,7 +170,7 @@ proptest! {
             let fork = original.fork();
             let rest = drain(&mut original);
 
-            let mut restored = build_engine(seed.wrapping_add(1), solver, !with_faults);
+            let mut restored = build_engine(seed.wrapping_add(1), mode, !with_faults);
             restored.restore(&snap);
             prop_assert_eq!(&drain(&mut restored), &rest, "restore diverged");
 
@@ -226,15 +182,15 @@ proptest! {
 
 // ---- degenerate decompositions ------------------------------------------
 
-/// All flows share one PFS resource: a single giant component. The
-/// partitioner must behave exactly like the monolithic solve (identical
-/// sub-problem), and thread count must be irrelevant.
+/// All flows share one PFS resource: a single giant component. Every
+/// solve must see exactly one component, and the run must agree with the
+/// monolithic reference (the component *is* the monolithic sub-problem;
+/// the kernel-level `shared_resource_merges_components` pins that bitwise).
 #[test]
 fn single_giant_component_is_bitwise_stable() {
-    let build = |partition: bool, threads: usize| {
+    let build = |mode: SolveMode| {
         let mut engine: Engine<u64> = Engine::with_config(EngineConfig {
-            partition,
-            solver_threads: threads,
+            solve_mode: mode,
             ..Default::default()
         });
         let pfs = engine.add_resource("pfs", 1000.0);
@@ -247,41 +203,31 @@ fn single_giant_component_is_bitwise_stable() {
         }
         engine
     };
-    let mut serial = build(true, 1);
-    let serial_events = drain(&mut serial);
+    let mut engine = build(SolveMode::Incremental);
+    let events = drain(&mut engine);
     assert_eq!(
-        serial.counters().partitioned_solves,
-        serial.counters().solves
+        engine.counters().partitioned_solves,
+        engine.counters().solves
     );
     assert_eq!(
-        serial.counters().components,
-        serial.counters().partitioned_solves,
+        engine.counters().components,
+        engine.counters().partitioned_solves,
         "every solve must see exactly one component"
     );
     // Only the tail of the drain, where a lone flow survives, may produce
     // a size-one component.
-    assert!(serial.counters().singleton_components <= 1);
-    for threads in [2, 4, 8] {
-        let parallel_events = drain(&mut build(true, threads));
-        assert_eq!(serial_events, parallel_events, "threads={threads}");
-    }
-    // One component containing everything is the monolithic sub-problem,
-    // so here even the monolithic path must agree bitwise.
-    let mono_events = drain(&mut build(false, 1));
-    assert_eq!(serial_events, mono_events);
+    assert!(engine.counters().singleton_components <= 1);
+    assert_eq!(events, drain(&mut build(SolveMode::Incremental)));
+    assert_close(&drain(&mut build(SolveMode::Naive)), &events);
 }
 
 /// Every flow on its own private resource: all-singleton components, the
-/// maximal decomposition. Bits must not depend on thread count, and the
-/// counters must show the decomposition.
+/// maximal decomposition. Reruns must agree bitwise, and the counters
+/// must show the decomposition.
 #[test]
 fn all_singleton_components_are_bitwise_stable() {
-    let build = |threads: usize| {
-        let mut engine: Engine<u64> = Engine::with_config(EngineConfig {
-            partition: true,
-            solver_threads: threads,
-            ..Default::default()
-        });
+    let build = || {
+        let mut engine: Engine<u64> = Engine::new();
         let links: Vec<_> = (0..96)
             .map(|i| engine.add_resource(format!("link{i}"), 40.0 + i as f64))
             .collect();
@@ -294,34 +240,24 @@ fn all_singleton_components_are_bitwise_stable() {
         }
         engine
     };
-    let mut serial = build(1);
-    let serial_events = drain(&mut serial);
-    let counters = *serial.counters();
+    let mut engine = build();
+    let events = drain(&mut engine);
+    let counters = *engine.counters();
     assert!(counters.partitioned_solves > 0);
     // The first solve sees one singleton component per flow.
     assert_eq!(counters.component_max, 1);
     assert_eq!(counters.singleton_components, counters.components);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            serial_events,
-            drain(&mut build(threads)),
-            "threads={threads}"
-        );
-    }
+    assert_eq!(events, drain(&mut build()));
 }
 
 /// Two disjoint components merge mid-run when a latent flow whose route
 /// bridges both groups starts streaming (the shape of a stage-out opening
-/// a shared route). Bits must not depend on thread count, and the
-/// counters must record the widened component.
+/// a shared route). Reruns must agree bitwise, and the counters must
+/// record the widened component.
 #[test]
 fn components_merging_mid_run_stay_bitwise_stable() {
-    let build = |threads: usize| {
-        let mut engine: Engine<u64> = Engine::with_config(EngineConfig {
-            partition: true,
-            solver_threads: threads,
-            ..Default::default()
-        });
+    let build = || {
+        let mut engine: Engine<u64> = Engine::new();
         let a = engine.add_resource("bb", 100.0);
         let b = engine.add_resource("pfs", 80.0);
         engine.spawn_flow(FlowSpec::new(2000.0, vec![a]), 0);
@@ -330,99 +266,40 @@ fn components_merging_mid_run_stay_bitwise_stable() {
         engine.spawn_flow(FlowSpec::new(1000.0, vec![a, b]).with_latency(5.0), 2);
         engine
     };
-    let mut serial = build(1);
-    let serial_events = drain(&mut serial);
-    let counters = *serial.counters();
+    let mut engine = build();
+    let events = drain(&mut engine);
+    let counters = *engine.counters();
     // First solve: {0} on bb, {1} on pfs. After the latency expiry the
     // bridge connects them into one three-flow component.
     assert!(counters.partitioned_solves >= 2);
     assert_eq!(counters.component_max, 3);
     assert!(counters.singleton_components >= 2);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            serial_events,
-            drain(&mut build(threads)),
-            "threads={threads}"
-        );
-    }
+    assert_eq!(events, drain(&mut build()));
 }
 
 /// N simultaneous spawns are one event instant and one solve — the
-/// batched event application the incremental engine promises, preserved
-/// by the partitioned path.
+/// batched event application the incremental engine promises.
 #[test]
 fn simultaneous_arrivals_cost_one_solve() {
-    for partition in [false, true] {
-        let mut engine: Engine<u64> = Engine::with_config(EngineConfig {
-            partition,
-            solver_threads: 4,
-            ..Default::default()
-        });
-        let links: Vec<_> = (0..16)
-            .map(|i| engine.add_resource(format!("l{i}"), 100.0))
-            .collect();
-        // 64 flows spawned at the same instant, all finishing together in
-        // groups: equal sizes per link.
-        for i in 0..64u64 {
-            engine.spawn_flow(FlowSpec::new(400.0, vec![links[(i % 16) as usize]]), i);
-        }
-        let (events, err) = drain(&mut engine);
-        assert!(err.is_none());
-        assert_eq!(events.len(), 64);
-        let counters = engine.counters();
-        assert_eq!(
-            counters.events, 1,
-            "64 simultaneous completions must be one event instant (partition={partition})"
-        );
-        assert_eq!(
-            counters.solves, 1,
-            "one spawn batch must trigger exactly one solve (partition={partition})"
-        );
+    let mut engine: Engine<u64> = Engine::new();
+    let links: Vec<_> = (0..16)
+        .map(|i| engine.add_resource(format!("l{i}"), 100.0))
+        .collect();
+    // 64 flows spawned at the same instant, all finishing together in
+    // groups: equal sizes per link.
+    for i in 0..64u64 {
+        engine.spawn_flow(FlowSpec::new(400.0, vec![links[(i % 16) as usize]]), i);
     }
-}
-
-// ---- campaign level ------------------------------------------------------
-
-/// The campaign driver preserves the contract: a multi-tenant campaign
-/// run with partitioned solves is bitwise identical across thread counts,
-/// and agrees with the default monolithic path on every job metric to the
-/// A/B tolerance.
-#[test]
-fn campaign_is_bitwise_stable_across_thread_counts() {
-    use wfbb::platform::{presets, BbMode};
-
-    let jobs = synthetic_jobs(
-        20260808,
-        &SyntheticConfig {
-            jobs: 12,
-            mean_interarrival: 15.0,
-            bb_request_scale: 1.0,
-            max_nodes: 2,
-        },
-    )
-    .expect("synthetic workload builds");
-    let run = |threads: usize| {
-        let config = CampaignConfig::new(presets::cori(8, BbMode::Striped))
-            .with_policy(BatchPolicy::BbAware)
-            .with_platform_label("cori:striped")
-            .with_solver_threads(threads);
-        let report = run_campaign(&config, &jobs).expect("campaign completes");
-        let jobs: Vec<_> = report
-            .jobs
-            .iter()
-            .map(|j| {
-                (
-                    j.name.clone(),
-                    j.submit.to_bits(),
-                    j.start.to_bits(),
-                    j.end.to_bits(),
-                )
-            })
-            .collect();
-        (report.makespan.to_bits(), jobs)
-    };
-    let serial = run(1);
-    for threads in [2, 4] {
-        assert_eq!(serial, run(threads), "threads={threads}");
-    }
+    let (events, err) = drain(&mut engine);
+    assert!(err.is_none());
+    assert_eq!(events.len(), 64);
+    let counters = engine.counters();
+    assert_eq!(
+        counters.events, 1,
+        "64 simultaneous completions must be one event instant"
+    );
+    assert_eq!(
+        counters.solves, 1,
+        "one spawn batch must trigger exactly one solve"
+    );
 }
