@@ -10,7 +10,6 @@ use wfbb_platform::{presets, BbMode, PlatformSpec};
 use wfbb_storage::PlacementPolicy;
 use wfbb_wms::SchedulerPolicy;
 use wfbb_workflow::Workflow;
-use wfbb_workloads::{GenomesConfig, SwarpConfig};
 
 /// A parsed command line: subcommand plus `--key value` options.
 #[derive(Debug, Clone)]
@@ -109,6 +108,12 @@ impl Args {
 /// Parses a platform spec: `cori:private`, `cori:striped`, `summit`,
 /// `generic`, or a path to a platform JSON file. `nodes` scales presets.
 pub fn parse_platform(spec: &str, nodes: usize) -> Result<PlatformSpec, CliError> {
+    if nodes > presets::MAX_NODES {
+        return Err(CliError(format!(
+            "--nodes {nodes} exceeds the limit of {}",
+            presets::MAX_NODES
+        )));
+    }
     let platform = match spec {
         "cori:private" | "cori" => presets::cori(nodes, BbMode::Private),
         "cori:striped" => presets::cori(nodes, BbMode::Striped),
@@ -137,18 +142,8 @@ pub fn parse_workflow(spec: &str) -> Result<Workflow, CliError> {
                 .map_err(|_| CliError(format!("bad per-core speed {gflops:?}")))?;
             load_wfcommons(path, speed)
         }
-        ["swarp", pipelines] => {
-            let p = parse_usize(pipelines, "swarp pipeline count")?;
-            Ok(SwarpConfig::new(p).build())
-        }
-        ["swarp", pipelines, cores] => {
-            let p = parse_usize(pipelines, "swarp pipeline count")?;
-            let c = parse_usize(cores, "swarp cores per task")?;
-            Ok(SwarpConfig::new(p).with_cores_per_task(c).build())
-        }
-        ["genomes", chromosomes] => {
-            let c = parse_usize(chromosomes, "genomes chromosome count")?;
-            Ok(GenomesConfig::new(c).build())
+        ["swarp", ..] | ["genomes", ..] => {
+            wfbb_sched::build_workflow(spec).map_err(|e| CliError(e.to_string()))
         }
         [path] => {
             let json = std::fs::read_to_string(path)
@@ -201,16 +196,6 @@ fn load_wfcommons(path: &str, gflops: f64) -> Result<Workflow, CliError> {
         .map_err(|e| CliError(format!("cannot read workflow {path:?}: {e}")))?;
     wfbb_workflow::wfcommons::from_wfcommons_json(&json, gflops)
         .map_err(|e| CliError(format!("invalid WfCommons trace {path:?}: {e}")))
-}
-
-fn parse_usize(s: &str, what: &str) -> Result<usize, CliError> {
-    let v: usize = s
-        .parse()
-        .map_err(|_| CliError(format!("bad {what}: {s:?}")))?;
-    if v == 0 {
-        return Err(CliError(format!("{what} must be positive")));
-    }
-    Ok(v)
 }
 
 #[cfg(test)]
@@ -272,6 +257,13 @@ mod tests {
     }
 
     #[test]
+    fn oversized_node_counts_are_rejected() {
+        assert!(parse_platform("cori", presets::MAX_NODES).is_ok());
+        let e = parse_platform("cori", 4_000_000_000).unwrap_err();
+        assert!(e.0.contains("--nodes"), "{e}");
+    }
+
+    #[test]
     fn workflow_specs_parse() {
         let wf = parse_workflow("swarp:3").unwrap();
         assert_eq!(wf.task_count(), 6);
@@ -280,6 +272,9 @@ mod tests {
         let wf = parse_workflow("genomes:2").unwrap();
         assert_eq!(wf.task_count(), 2 * 41 + 1);
         assert!(parse_workflow("swarp:0").is_err());
+        assert!(parse_workflow("swarp:2:0").is_err());
+        assert!(parse_workflow("swarp:4000000000").is_err());
+        assert!(parse_workflow("genomes:10001").is_err());
         assert!(parse_workflow("mystery:1").is_err());
     }
 

@@ -21,6 +21,11 @@ use crate::units::*;
 /// striped over all of them).
 pub const CORI_STRIPE_NODES: usize = 4;
 
+/// Largest compute-node count the input parsers accept for a preset. The
+/// presets allocate per node, so an unchecked count from a request or a
+/// flag could exhaust memory and abort the process.
+pub const MAX_NODES: usize = 65_536;
+
 /// Cori (NERSC): Cray XC40 Haswell partition with remote shared burst
 /// buffers (Cray DataWarp).
 ///

@@ -63,4 +63,5 @@ pub use policy::{
 pub use report::{CampaignReport, JobOutcome, JobStatus, UtilSample, BOUNDED_SLOWDOWN_TAU};
 pub use workload::{
     build_workflow, parse_workload, synthetic_jobs, SyntheticConfig, WorkloadError,
+    MAX_GENOMES_CHROMOSOMES, MAX_SWARP_PIPELINES, MAX_SYNTHETIC_JOBS,
 };

@@ -49,34 +49,46 @@ fn err<T>(msg: impl Into<String>) -> Result<T, WorkloadError> {
     Err(WorkloadError(msg.into()))
 }
 
+/// Largest `jobs` count [`synthetic_jobs`] draws.
+pub const MAX_SYNTHETIC_JOBS: usize = 10_000;
+/// Largest pipeline count a `swarp:<pipelines>` spec builds.
+pub const MAX_SWARP_PIPELINES: usize = 10_000;
+/// Largest chromosome count a `genomes:<chromosomes>` spec builds.
+pub const MAX_GENOMES_CHROMOSOMES: usize = 10_000;
+
+/// Parses the count `what` of `spec` as an integer in `1..=max`. Counts
+/// size allocations, so an unbounded one could abort the process.
+fn parse_count(text: &str, what: &str, max: usize, spec: &str) -> Result<usize, WorkloadError> {
+    let n: usize = text
+        .parse()
+        .map_err(|_| WorkloadError(format!("bad {what} in '{spec}'")))?;
+    if n == 0 || n > max {
+        return err(format!("'{spec}': {what} must be in 1..={max}"));
+    }
+    Ok(n)
+}
+
 /// Builds a workflow from a campaign workflow spec: `swarp:<pipelines>`
 /// `[:<cores>]` or `genomes:<chromosomes>`.
 pub fn build_workflow(spec: &str) -> Result<Workflow, WorkloadError> {
     let parts: Vec<&str> = spec.split(':').collect();
     match parts.as_slice() {
         ["swarp", p] | ["swarp", p, _] => {
-            let pipelines: usize = p
-                .parse()
-                .map_err(|_| WorkloadError(format!("bad pipeline count in '{spec}'")))?;
-            if pipelines == 0 {
-                return err(format!("'{spec}': pipeline count must be >= 1"));
-            }
+            let pipelines = parse_count(p, "pipeline count", MAX_SWARP_PIPELINES, spec)?;
             let mut cfg = SwarpConfig::new(pipelines);
             if let [_, _, c] = parts.as_slice() {
                 let cores: usize = c
                     .parse()
                     .map_err(|_| WorkloadError(format!("bad cores-per-task in '{spec}'")))?;
+                if cores == 0 {
+                    return err(format!("'{spec}': cores-per-task must be >= 1"));
+                }
                 cfg = cfg.with_cores_per_task(cores);
             }
             Ok(cfg.build())
         }
         ["genomes", c] => {
-            let chromosomes: usize = c
-                .parse()
-                .map_err(|_| WorkloadError(format!("bad chromosome count in '{spec}'")))?;
-            if chromosomes == 0 {
-                return err(format!("'{spec}': chromosome count must be >= 1"));
-            }
+            let chromosomes = parse_count(c, "chromosome count", MAX_GENOMES_CHROMOSOMES, spec)?;
             Ok(GenomesConfig::new(chromosomes).build())
         }
         _ => err(format!(
@@ -343,6 +355,12 @@ pub fn synthetic_jobs(seed: u64, cfg: &SyntheticConfig) -> Result<Vec<JobSpec>, 
     if cfg.jobs == 0 {
         return err("synthetic campaign must have at least one job");
     }
+    if cfg.jobs > MAX_SYNTHETIC_JOBS {
+        return err(format!(
+            "synthetic campaign of {} jobs exceeds the limit of {MAX_SYNTHETIC_JOBS}",
+            cfg.jobs
+        ));
+    }
     let positive = |x: f64| x.is_finite() && x > 0.0;
     if !positive(cfg.mean_interarrival) || !positive(cfg.bb_request_scale) {
         return err("mean_interarrival and bb_request_scale must be positive");
@@ -376,6 +394,36 @@ pub fn synthetic_jobs(seed: u64, cfg: &SyntheticConfig) -> Result<Vec<JobSpec>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversized_workflow_counts_are_rejected() {
+        for spec in [
+            "swarp:10001",
+            "swarp:4000000000",
+            "genomes:10001",
+            "swarp:2:0",
+        ] {
+            assert!(build_workflow(spec).is_err(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn oversized_synthetic_campaigns_are_rejected() {
+        let cfg = SyntheticConfig {
+            jobs: MAX_SYNTHETIC_JOBS + 1,
+            ..SyntheticConfig::default()
+        };
+        assert!(synthetic_jobs(1, &cfg).is_err());
+    }
+
+    #[test]
+    fn largest_accepted_counts_still_parse() {
+        // Building the full 10,000-pipeline workflow is slow in debug
+        // builds; the bound itself lives in `parse_count`.
+        let top = |max: usize| parse_count(&max.to_string(), "count", max, "spec");
+        assert_eq!(top(MAX_SWARP_PIPELINES), Ok(MAX_SWARP_PIPELINES));
+        assert_eq!(top(MAX_GENOMES_CHROMOSOMES), Ok(MAX_GENOMES_CHROMOSOMES));
+    }
 
     #[test]
     fn parses_a_workload_file() {

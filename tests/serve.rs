@@ -524,6 +524,38 @@ fn unknown_routes_and_bad_bodies_get_typed_errors() {
     server.stop();
 }
 
+/// Sizes that drive allocation are bounded at parse time: an oversized
+/// request is a typed 400 naming the field, never an out-of-memory abort
+/// of the whole service.
+#[test]
+fn oversized_sizes_get_a_typed_400_naming_the_field() {
+    let server = start(ServeConfig::default());
+    for (body, field) in [
+        (
+            r#"{"type":"campaign","platform":"cori","nodes":4000000000}"#,
+            "nodes",
+        ),
+        (
+            r#"{"type":"campaign","platform":"cori","workload":{"type":"synthetic","jobs":4000000000000}}"#,
+            "jobs",
+        ),
+        (
+            r#"{"type":"simulate","workflow":"swarp:4000000000","platform":"cori"}"#,
+            "pipeline count",
+        ),
+        (
+            r#"{"type":"simulate","workflow":"genomes:4000000000","platform":"cori"}"#,
+            "chromosome count",
+        ),
+    ] {
+        let r = http(server.addr, "POST", "/v1/jobs", &[], body.as_bytes());
+        assert_eq!(r.status, 400, "{body}");
+        let text = std::str::from_utf8(&r.body).unwrap();
+        assert!(text.contains(field), "{body}: {text}");
+    }
+    server.stop();
+}
+
 // ---- metrics schema -----------------------------------------------------
 
 #[test]
