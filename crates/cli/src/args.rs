@@ -6,9 +6,7 @@
 
 use std::collections::HashMap;
 
-use wfbb_platform::{presets, BbMode, PlatformSpec};
-use wfbb_storage::PlacementPolicy;
-use wfbb_wms::SchedulerPolicy;
+use wfbb_platform::{presets, PlatformSpec};
 use wfbb_workflow::Workflow;
 
 /// A parsed command line: subcommand plus `--key value` options.
@@ -105,8 +103,8 @@ impl Args {
     }
 }
 
-/// Parses a platform spec: `cori:private`, `cori:striped`, `summit`,
-/// `generic`, or a path to a platform JSON file. `nodes` scales presets.
+/// Parses a platform spec: a preset label ([`presets::NAMES`]) or a path
+/// to a platform JSON file. `nodes` scales presets.
 pub fn parse_platform(spec: &str, nodes: usize) -> Result<PlatformSpec, CliError> {
     if nodes > presets::MAX_NODES {
         return Err(CliError(format!(
@@ -114,19 +112,12 @@ pub fn parse_platform(spec: &str, nodes: usize) -> Result<PlatformSpec, CliError
             presets::MAX_NODES
         )));
     }
-    let platform = match spec {
-        "cori:private" | "cori" => presets::cori(nodes, BbMode::Private),
-        "cori:striped" => presets::cori(nodes, BbMode::Striped),
-        "summit" | "summit:onnode" => presets::summit(nodes),
-        "generic" => presets::generic(nodes),
-        path => {
-            let json = std::fs::read_to_string(path)
-                .map_err(|e| CliError(format!("cannot read platform {path:?}: {e}")))?;
-            PlatformSpec::from_json(&json)
-                .map_err(|e| CliError(format!("invalid platform {path:?}: {e}")))?
-        }
-    };
-    Ok(platform)
+    if let Some(platform) = presets::by_name(spec, nodes) {
+        return Ok(platform);
+    }
+    let json = std::fs::read_to_string(spec)
+        .map_err(|e| CliError(format!("cannot read platform {spec:?}: {e}")))?;
+    PlatformSpec::from_json(&json).map_err(|e| CliError(format!("invalid platform {spec:?}: {e}")))
 }
 
 /// Parses a workflow spec: `swarp:<pipelines>[:<cores>]`,
@@ -152,42 +143,6 @@ pub fn parse_workflow(spec: &str) -> Result<Workflow, CliError> {
                 .map_err(|e| CliError(format!("invalid workflow {path:?}: {e}")))
         }
         _ => Err(CliError(format!("unrecognized workflow spec {spec:?}"))),
-    }
-}
-
-/// Parses a placement spec: `allbb`, `allpfs`, `fraction:<f>`,
-/// `threshold:<bytes>`.
-pub fn parse_placement(spec: &str) -> Result<PlacementPolicy, CliError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["allbb"] => Ok(PlacementPolicy::AllBb),
-        ["allpfs"] => Ok(PlacementPolicy::AllPfs),
-        ["fraction", f] => {
-            let fraction: f64 = f
-                .parse()
-                .map_err(|_| CliError(format!("bad fraction {f:?}")))?;
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(CliError(format!("fraction {fraction} outside [0, 1]")));
-            }
-            Ok(PlacementPolicy::FractionToBb { fraction })
-        }
-        ["threshold", bytes] => {
-            let min_bytes: f64 = bytes
-                .parse()
-                .map_err(|_| CliError(format!("bad byte threshold {bytes:?}")))?;
-            Ok(PlacementPolicy::BySizeThreshold { min_bytes })
-        }
-        _ => Err(CliError(format!("unrecognized placement spec {spec:?}"))),
-    }
-}
-
-/// Parses a scheduler spec: `affinity`, `least-loaded`, `round-robin`.
-pub fn parse_scheduler(spec: &str) -> Result<SchedulerPolicy, CliError> {
-    match spec {
-        "affinity" => Ok(SchedulerPolicy::PipelineAffinity),
-        "least-loaded" => Ok(SchedulerPolicy::LeastLoaded),
-        "round-robin" => Ok(SchedulerPolicy::RoundRobin),
-        other => Err(CliError(format!("unrecognized scheduler {other:?}"))),
     }
 }
 
@@ -299,35 +254,5 @@ mod tests {
         let wf = parse_workflow(&spec).unwrap();
         assert!((wf.tasks()[0].flops - 2.0 * 10.0e9).abs() < 1.0);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn placement_specs_parse() {
-        assert_eq!(parse_placement("allbb").unwrap(), PlacementPolicy::AllBb);
-        assert_eq!(parse_placement("allpfs").unwrap(), PlacementPolicy::AllPfs);
-        assert_eq!(
-            parse_placement("fraction:0.5").unwrap(),
-            PlacementPolicy::FractionToBb { fraction: 0.5 }
-        );
-        assert!(parse_placement("fraction:2.0").is_err());
-        assert!(parse_placement("fraction:x").is_err());
-        assert!(matches!(
-            parse_placement("threshold:1000000").unwrap(),
-            PlacementPolicy::BySizeThreshold { .. }
-        ));
-        assert!(parse_placement("magic").is_err());
-    }
-
-    #[test]
-    fn scheduler_specs_parse() {
-        assert_eq!(
-            parse_scheduler("affinity").unwrap(),
-            SchedulerPolicy::PipelineAffinity
-        );
-        assert_eq!(
-            parse_scheduler("round-robin").unwrap(),
-            SchedulerPolicy::RoundRobin
-        );
-        assert!(parse_scheduler("chaotic").is_err());
     }
 }

@@ -43,8 +43,9 @@
 
 mod args;
 
-use args::{parse_placement, parse_platform, parse_scheduler, parse_workflow, Args, CliError};
-use wfbb_wms::{SimulationBuilder, TelemetryConfig};
+use args::{parse_platform, parse_workflow, Args, CliError};
+use wfbb_storage::{FailoverPolicy, PlacementPolicy};
+use wfbb_wms::{SchedulerPolicy, SimulationBuilder, TelemetryConfig};
 
 const USAGE: &str = "\
 usage:
@@ -244,8 +245,9 @@ fn simulate(args: &Args) -> Result<(), CliError> {
         .parse()
         .map_err(|_| CliError("bad --nodes value".into()))?;
     let platform = parse_platform(args.require("platform")?, nodes)?;
-    let placement = parse_placement(args.get_or("placement", "allbb"))?;
-    let scheduler = parse_scheduler(args.get_or("scheduler", "affinity"))?;
+    let placement = PlacementPolicy::parse(args.get_or("placement", "allbb")).map_err(CliError)?;
+    let scheduler =
+        SchedulerPolicy::parse(args.get_or("scheduler", "affinity")).map_err(CliError)?;
     let trace_out = args.get("trace-out");
     let trace_format = args.get_or("trace-format", "perfetto");
     if !matches!(trace_format, "perfetto" | "jsonl") {
@@ -268,16 +270,7 @@ fn simulate(args: &Args) -> Result<(), CliError> {
         builder = builder.checkpoint(checkpoint_policy(spec)?);
     }
     if let Some(policy) = args.get("failover") {
-        let policy = match policy {
-            "pfs" => wfbb_storage::FailoverPolicy::RerouteToPfs,
-            "bb" => wfbb_storage::FailoverPolicy::SurvivingBb,
-            other => {
-                return Err(CliError(format!(
-                    "unrecognized failover policy {other:?} (expected pfs or bb)"
-                )))
-            }
-        };
-        builder = builder.failover(policy);
+        builder = builder.failover(FailoverPolicy::parse(policy).map_err(CliError)?);
     }
     if let Some(n) = args.get("retries") {
         let max_attempts: u32 = n

@@ -143,9 +143,43 @@ pub fn paper_configs(compute_nodes: usize) -> Vec<PlatformSpec> {
     ]
 }
 
+/// Every label [`by_name`] accepts, in the order error messages list them.
+pub const NAMES: [&str; 6] = [
+    "cori",
+    "cori:private",
+    "cori:striped",
+    "summit",
+    "summit:onnode",
+    "generic",
+];
+
+/// The preset a platform label names, scaled to `compute_nodes`: `cori`
+/// and `cori:private` are Cori with private BB allocations,
+/// `cori:striped` is Cori with striped ones, `summit` and
+/// `summit:onnode` are Summit, and `generic` is [`generic`]. `None` for
+/// any other label.
+pub fn by_name(name: &str, compute_nodes: usize) -> Option<PlatformSpec> {
+    match name {
+        "cori" | "cori:private" => Some(cori(compute_nodes, BbMode::Private)),
+        "cori:striped" => Some(cori(compute_nodes, BbMode::Striped)),
+        "summit" | "summit:onnode" => Some(summit(compute_nodes)),
+        "generic" => Some(generic(compute_nodes)),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_name_resolves_and_nothing_else_does() {
+        for name in NAMES {
+            assert_eq!(by_name(name, 2).expect(name).compute_nodes, 2);
+        }
+        assert!(by_name("/tmp/platform.json", 1).is_none());
+        assert!(by_name("", 1).is_none());
+    }
 
     #[test]
     fn cori_private_uses_one_bb_node() {

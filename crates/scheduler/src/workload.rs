@@ -97,33 +97,6 @@ pub fn build_workflow(spec: &str) -> Result<Workflow, WorkloadError> {
     }
 }
 
-fn parse_placement(s: &str) -> Result<PlacementPolicy, WorkloadError> {
-    if s == "allbb" {
-        return Ok(PlacementPolicy::AllBb);
-    }
-    if s == "allpfs" {
-        return Ok(PlacementPolicy::AllPfs);
-    }
-    if let Some(f) = s.strip_prefix("fraction:") {
-        let fraction: f64 = f
-            .parse()
-            .map_err(|_| WorkloadError(format!("bad placement fraction '{s}'")))?;
-        if !(0.0..=1.0).contains(&fraction) {
-            return err(format!("placement fraction {fraction} outside [0, 1]"));
-        }
-        return Ok(PlacementPolicy::FractionToBb { fraction });
-    }
-    if let Some(b) = s.strip_prefix("threshold:") {
-        let min_bytes: f64 = b
-            .parse()
-            .map_err(|_| WorkloadError(format!("bad placement threshold '{s}'")))?;
-        return Ok(PlacementPolicy::BySizeThreshold { min_bytes });
-    }
-    err(format!(
-        "unknown placement '{s}' (allbb|allpfs|fraction:<f>|threshold:<bytes>)"
-    ))
-}
-
 /// Parses a workload file (see the module docs for the format).
 pub fn parse_workload(text: &str) -> Result<Vec<JobSpec>, WorkloadError> {
     let mut jobs = Vec::new();
@@ -177,7 +150,7 @@ pub fn parse_workload(text: &str) -> Result<Vec<JobSpec>, WorkloadError> {
                 }
                 "name" => name = Some(value.to_string()),
                 "placement" => {
-                    placement = parse_placement(value).map_err(|e| WorkloadError(at(&e.0)))?
+                    placement = PlacementPolicy::parse(value).map_err(|e| WorkloadError(at(&e)))?
                 }
                 "kill" => {
                     let Some((task, time)) = value.split_once('@') else {
@@ -254,6 +227,30 @@ impl Default for SyntheticConfig {
             bb_request_scale: 1.0,
             max_nodes: 4,
         }
+    }
+}
+
+impl SyntheticConfig {
+    /// Checks that [`synthetic_jobs`] can draw this campaign: `jobs` in
+    /// `1..=MAX_SYNTHETIC_JOBS`, `mean_interarrival` and
+    /// `bb_request_scale` finite and positive, `max_nodes` at least 1.
+    /// The error names the offending field.
+    pub fn validate(&self) -> Result<(), WorkloadError> {
+        if self.jobs == 0 || self.jobs > MAX_SYNTHETIC_JOBS {
+            return err(format!("\"jobs\" must be in 1..={MAX_SYNTHETIC_JOBS}"));
+        }
+        for (field, value) in [
+            ("mean_interarrival", self.mean_interarrival),
+            ("bb_request_scale", self.bb_request_scale),
+        ] {
+            if !(value.is_finite() && value > 0.0) {
+                return err(format!("\"{field}\" must be a positive number"));
+            }
+        }
+        if self.max_nodes == 0 {
+            return err("\"max_nodes\" must be at least 1");
+        }
+        Ok(())
     }
 }
 
@@ -352,22 +349,7 @@ const CLASSES: [JobClass; 4] = [
 /// with the configured mean, job classes chosen uniformly, BB requests
 /// jittered ±25% around the class base times `bb_request_scale`.
 pub fn synthetic_jobs(seed: u64, cfg: &SyntheticConfig) -> Result<Vec<JobSpec>, WorkloadError> {
-    if cfg.jobs == 0 {
-        return err("synthetic campaign must have at least one job");
-    }
-    if cfg.jobs > MAX_SYNTHETIC_JOBS {
-        return err(format!(
-            "synthetic campaign of {} jobs exceeds the limit of {MAX_SYNTHETIC_JOBS}",
-            cfg.jobs
-        ));
-    }
-    let positive = |x: f64| x.is_finite() && x > 0.0;
-    if !positive(cfg.mean_interarrival) || !positive(cfg.bb_request_scale) {
-        return err("mean_interarrival and bb_request_scale must be positive");
-    }
-    if cfg.max_nodes == 0 {
-        return err("max_nodes must be >= 1");
-    }
+    cfg.validate()?;
     let mut rng = SplitMix64::new(seed);
     let mut t = 0.0f64;
     let mut jobs = Vec::with_capacity(cfg.jobs);
@@ -414,6 +396,40 @@ mod tests {
             ..SyntheticConfig::default()
         };
         assert!(synthetic_jobs(1, &cfg).is_err());
+    }
+
+    #[test]
+    fn synthetic_configs_that_cannot_run_name_their_field() {
+        let base = SyntheticConfig::default();
+        for (field, cfg) in [
+            ("\"jobs\"", SyntheticConfig { jobs: 0, ..base }),
+            (
+                "\"mean_interarrival\"",
+                SyntheticConfig {
+                    mean_interarrival: 0.0,
+                    ..base
+                },
+            ),
+            (
+                "\"bb_request_scale\"",
+                SyntheticConfig {
+                    bb_request_scale: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "\"max_nodes\"",
+                SyntheticConfig {
+                    max_nodes: 0,
+                    ..base
+                },
+            ),
+        ] {
+            let e = cfg.validate().unwrap_err();
+            assert!(e.0.contains(field), "{field}: {e}");
+            assert_eq!(synthetic_jobs(1, &cfg).unwrap_err(), e);
+        }
+        assert_eq!(base.validate(), Ok(()));
     }
 
     #[test]

@@ -26,8 +26,10 @@
 
 use crate::API_VERSION;
 use serde_json::Value;
-use wfbb_platform::presets::MAX_NODES;
-use wfbb_sched::{BatchPolicy, SyntheticConfig, DEFAULT_PLAN_HORIZON, MAX_SYNTHETIC_JOBS};
+use wfbb_platform::presets::{self, MAX_NODES};
+use wfbb_sched::{BatchPolicy, SyntheticConfig, DEFAULT_PLAN_HORIZON};
+use wfbb_storage::{FailoverPolicy, PlacementPolicy};
+use wfbb_wms::SchedulerPolicy;
 
 /// A request the service refuses to run, rendered as a typed `400`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,15 +125,6 @@ pub enum WorkloadSource {
     Inline(String),
 }
 
-const PLATFORMS: [&str; 6] = [
-    "cori",
-    "cori:private",
-    "cori:striped",
-    "summit",
-    "summit:onnode",
-    "generic",
-];
-
 fn check_keys(obj: &Value, allowed: &[&str], what: &str) -> Result<(), RequestError> {
     let Value::Object(entries) = obj else {
         return err(format!("{what} must be a JSON object, got {}", obj.kind()));
@@ -162,6 +155,13 @@ fn get_u64(obj: &Value, key: &str, default: u64) -> Result<u64, RequestError> {
     }
 }
 
+/// A `u32` field. Values above `u32::MAX` are refused, not truncated.
+fn get_u32(obj: &Value, key: &str, default: u32) -> Result<u32, RequestError> {
+    let v = get_u64(obj, key, u64::from(default))?;
+    u32::try_from(v)
+        .map_err(|_| RequestError(format!("field {key:?} must be at most {}", u32::MAX)))
+}
+
 fn get_f64(obj: &Value, key: &str, default: f64) -> Result<f64, RequestError> {
     match obj.get(key) {
         None => Ok(default),
@@ -188,12 +188,12 @@ fn validate_workflow_spec(spec: &str) -> Result<(), RequestError> {
 }
 
 fn validate_platform(spec: &str) -> Result<(), RequestError> {
-    if PLATFORMS.contains(&spec) {
+    if presets::NAMES.contains(&spec) {
         Ok(())
     } else {
         err(format!(
             "unknown platform {spec:?} (presets only: {})",
-            PLATFORMS.join(", ")
+            presets::NAMES.join(", ")
         ))
     }
 }
@@ -207,7 +207,7 @@ impl JobRequest {
             std::str::from_utf8(body).map_err(|_| RequestError("body is not UTF-8".into()))?;
         let value: Value =
             serde_json::from_str(text).map_err(|e| RequestError(format!("invalid JSON: {e}")))?;
-        let api_version = get_u64(&value, "api_version", u64::from(API_VERSION))? as u32;
+        let api_version = get_u32(&value, "api_version", API_VERSION)?;
         if api_version != API_VERSION {
             return err(format!(
                 "unsupported api_version {api_version} (this server speaks {API_VERSION})"
@@ -251,19 +251,17 @@ impl JobRequest {
         validate_platform(platform)?;
         let nodes = get_nodes(value, 1)?;
         let placement = get_str(value, "placement", "allbb")?;
-        crate::runner::parse_placement(placement).map_err(RequestError)?;
+        PlacementPolicy::parse(placement).map_err(RequestError)?;
         let scheduler = get_str(value, "scheduler", "affinity")?;
-        crate::runner::parse_scheduler(scheduler).map_err(RequestError)?;
+        SchedulerPolicy::parse(scheduler).map_err(RequestError)?;
         let faults = get_str(value, "faults", "")?;
         if !faults.is_empty() {
             wfbb_wms::FaultSpec::parse(faults)
                 .map_err(|e| RequestError(format!("bad fault spec: {e}")))?;
         }
         let failover = get_str(value, "failover", "pfs")?;
-        if !matches!(failover, "pfs" | "bb") {
-            return err(format!("unknown failover {failover:?} (pfs | bb)"));
-        }
-        let retries = get_u64(value, "retries", 3)? as u32;
+        FailoverPolicy::parse(failover).map_err(RequestError)?;
+        let retries = get_u32(value, "retries", 3)?;
         Ok(JobRequest {
             api_version: API_VERSION,
             kind: JobKind::Simulate(SimulateRequest {
@@ -334,23 +332,22 @@ impl JobRequest {
                             ],
                             "a synthetic workload",
                         )?;
-                        let jobs = get_u64(w, "jobs", 20)?;
-                        if jobs == 0 || jobs > MAX_SYNTHETIC_JOBS as u64 {
-                            return err(format!("\"jobs\" must be in 1..={MAX_SYNTHETIC_JOBS}"));
-                        }
-                        let jobs = jobs as usize;
-                        let seed = get_u64(w, "seed", 1)?;
-                        let mean_interarrival = get_f64(w, "mean_interarrival", 30.0)?;
-                        let bb_request_scale = get_f64(w, "bb_request_scale", 1.0)?;
-                        let max_nodes = get_u64(w, "max_nodes", nodes as u64)? as usize;
+                        // Counts saturate rather than wrap, so `validate`
+                        // sees (and refuses) an oversized one.
+                        let count = |key, default: usize| -> Result<usize, RequestError> {
+                            let v = get_u64(w, key, default as u64)?;
+                            Ok(usize::try_from(v).unwrap_or(usize::MAX))
+                        };
+                        let config = SyntheticConfig {
+                            jobs: count("jobs", 20)?,
+                            mean_interarrival: get_f64(w, "mean_interarrival", 30.0)?,
+                            bb_request_scale: get_f64(w, "bb_request_scale", 1.0)?,
+                            max_nodes: count("max_nodes", nodes)?,
+                        };
+                        config.validate().map_err(|e| RequestError(e.0))?;
                         WorkloadSource::Synthetic {
-                            seed,
-                            config: SyntheticConfig {
-                                jobs,
-                                mean_interarrival,
-                                bb_request_scale,
-                                max_nodes,
-                            },
+                            seed: get_u64(w, "seed", 1)?,
+                            config,
                         }
                     }
                     "inline" => {
@@ -519,6 +516,63 @@ mod tests {
     }
 
     #[test]
+    fn api_version_above_u32_max_is_rejected_not_truncated() {
+        // 2^32 + 1 would truncate to 1, the supported version.
+        assert_rejects(
+            r#"{"type":"campaign","platform":"cori","api_version":4294967297}"#,
+            "\"api_version\"",
+        );
+    }
+
+    #[test]
+    fn retries_above_u32_max_are_rejected_not_truncated() {
+        // 2^32 + 3 would truncate to 3, the default budget.
+        assert_rejects(
+            r#"{"type":"simulate","workflow":"swarp:1","platform":"cori","retries":4294967299}"#,
+            "\"retries\"",
+        );
+    }
+
+    #[test]
+    fn u32_max_retries_still_parse() {
+        let r = parse(
+            r#"{"type":"simulate","workflow":"swarp:1","platform":"cori","retries":4294967295}"#,
+        )
+        .unwrap();
+        let JobKind::Simulate(s) = &r.kind else {
+            panic!("expected simulate")
+        };
+        assert_eq!(s.retries, u32::MAX);
+    }
+
+    fn synthetic(workload: &str) -> String {
+        format!(
+            r#"{{"type":"campaign","platform":"cori","workload":{{"type":"synthetic",{workload}}}}}"#
+        )
+    }
+
+    #[test]
+    fn zero_mean_interarrival_is_rejected() {
+        assert_rejects(
+            &synthetic(r#""mean_interarrival":0"#),
+            "\"mean_interarrival\"",
+        );
+    }
+
+    #[test]
+    fn negative_bb_request_scale_is_rejected() {
+        assert_rejects(
+            &synthetic(r#""bb_request_scale":-1.5"#),
+            "\"bb_request_scale\"",
+        );
+    }
+
+    #[test]
+    fn zero_max_nodes_is_rejected() {
+        assert_rejects(&synthetic(r#""max_nodes":0"#), "\"max_nodes\"");
+    }
+
+    #[test]
     fn removed_solver_key_is_an_unknown_field() {
         assert_rejects(
             r#"{"type":"campaign","platform":"cori","solver":"naive"}"#,
@@ -606,6 +660,14 @@ mod tests {
             r#"{"type":"simulate","workflow":"swarp:2","platform":"summit","faults":"bb:x@y"}"#
         )
         .is_err());
+        assert_rejects(
+            r#"{"type":"simulate","workflow":"swarp:2","platform":"summit","failover":"nvme"}"#,
+            "failover",
+        );
+        assert_rejects(
+            r#"{"type":"simulate","workflow":"swarp:2","platform":"summit","scheduler":"chaotic"}"#,
+            "scheduler",
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::request::{CampaignRequest, JobKind, JobRequest, SimulateRequest, WorkloadSource};
-use wfbb_platform::{presets, BbMode, PlatformSpec};
+use wfbb_platform::{presets, PlatformSpec};
 use wfbb_sched::{
     explain_json, parse_workload, synthetic_jobs, CampaignConfig, CampaignSim, JobSpec,
 };
@@ -92,48 +92,10 @@ impl std::fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Maps a preset label (already validated at parse time) to its
-/// [`PlatformSpec`] — the same mapping as the CLI's platform parser,
+/// [`PlatformSpec`] through [`presets::by_name`] — the CLI's mapping,
 /// minus file paths (see `crate::request` on cache soundness).
 pub fn parse_platform(spec: &str, nodes: usize) -> Result<PlatformSpec, String> {
-    match spec {
-        "cori" | "cori:private" => Ok(presets::cori(nodes, BbMode::Private)),
-        "cori:striped" => Ok(presets::cori(nodes, BbMode::Striped)),
-        "summit" | "summit:onnode" => Ok(presets::summit(nodes)),
-        "generic" => Ok(presets::generic(nodes)),
-        other => Err(format!("unknown platform preset {other:?}")),
-    }
-}
-
-/// Parses a placement spec (`allbb` | `allpfs` | `fraction:<f>` |
-/// `threshold:<bytes>`).
-pub fn parse_placement(spec: &str) -> Result<PlacementPolicy, String> {
-    match spec.split_once(':') {
-        None if spec == "allbb" => Ok(PlacementPolicy::AllBb),
-        None if spec == "allpfs" => Ok(PlacementPolicy::AllPfs),
-        Some(("fraction", f)) => {
-            let fraction: f64 = f.parse().map_err(|_| format!("bad fraction {f:?}"))?;
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err(format!("fraction {fraction} outside [0, 1]"));
-            }
-            Ok(PlacementPolicy::FractionToBb { fraction })
-        }
-        Some(("threshold", b)) => {
-            let min_bytes: f64 = b.parse().map_err(|_| format!("bad threshold {b:?}"))?;
-            Ok(PlacementPolicy::BySizeThreshold { min_bytes })
-        }
-        _ => Err(format!("unknown placement spec {spec:?}")),
-    }
-}
-
-/// Parses a node-scheduler spec (`affinity` | `least-loaded` |
-/// `round-robin`).
-pub fn parse_scheduler(spec: &str) -> Result<SchedulerPolicy, String> {
-    match spec {
-        "affinity" => Ok(SchedulerPolicy::PipelineAffinity),
-        "least-loaded" => Ok(SchedulerPolicy::LeastLoaded),
-        "round-robin" => Ok(SchedulerPolicy::RoundRobin),
-        other => Err(format!("unknown scheduler {other:?}")),
-    }
+    presets::by_name(spec, nodes).ok_or_else(|| format!("unknown platform preset {spec:?}"))
 }
 
 /// Runs `request` to completion, publishing progress into `progress`
@@ -155,8 +117,8 @@ fn run_simulate(req: &SimulateRequest, cancel: &AtomicBool) -> Result<Artifacts,
         return Err(RunError::Cancelled);
     }
     let platform = parse_platform(&req.platform, req.nodes).map_err(RunError::Failed)?;
-    let placement = parse_placement(&req.placement).map_err(RunError::Failed)?;
-    let scheduler = parse_scheduler(&req.scheduler).map_err(RunError::Failed)?;
+    let placement = PlacementPolicy::parse(&req.placement).map_err(RunError::Failed)?;
+    let scheduler = SchedulerPolicy::parse(&req.scheduler).map_err(RunError::Failed)?;
     let workflow =
         wfbb_sched::build_workflow(&req.workflow).map_err(|e| RunError::Failed(e.to_string()))?;
     // Telemetry on, exactly like a CLI run with --trace-out: the
@@ -169,10 +131,7 @@ fn run_simulate(req: &SimulateRequest, cancel: &AtomicBool) -> Result<Artifacts,
         let spec =
             wfbb_wms::FaultSpec::parse(&req.faults).map_err(|e| RunError::Failed(e.to_string()))?;
         builder = builder.faults(spec);
-        builder = builder.failover(match req.failover.as_str() {
-            "bb" => FailoverPolicy::SurvivingBb,
-            _ => FailoverPolicy::RerouteToPfs,
-        });
+        builder = builder.failover(FailoverPolicy::parse(&req.failover).map_err(RunError::Failed)?);
         builder = builder.retry_policy(RetryPolicy {
             max_attempts: req.retries,
             ..Default::default()

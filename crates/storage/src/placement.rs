@@ -111,6 +111,30 @@ fn stride_select(n: usize, fraction: f64) -> Vec<bool> {
 }
 
 impl PlacementPolicy {
+    /// Parses the placement grammar shared by the CLI, the service and
+    /// campaign workload files: `allbb`, `allpfs`, `fraction:<f>` (`f` in
+    /// `[0, 1]`) or `threshold:<bytes>`.
+    pub fn parse(spec: &str) -> Result<PlacementPolicy, String> {
+        match spec.split_once(':') {
+            None if spec == "allbb" => Ok(PlacementPolicy::AllBb),
+            None if spec == "allpfs" => Ok(PlacementPolicy::AllPfs),
+            Some(("fraction", f)) => {
+                let fraction: f64 = f.parse().map_err(|_| format!("bad fraction {f:?}"))?;
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err(format!("fraction {fraction} outside [0, 1]"));
+                }
+                Ok(PlacementPolicy::FractionToBb { fraction })
+            }
+            Some(("threshold", b)) => {
+                let min_bytes: f64 = b.parse().map_err(|_| format!("bad threshold {b:?}"))?;
+                Ok(PlacementPolicy::BySizeThreshold { min_bytes })
+            }
+            _ => Err(format!(
+                "unknown placement spec {spec:?} (allbb | allpfs | fraction:<f> | threshold:<bytes>)"
+            )),
+        }
+    }
+
     /// Resolves the policy against a workflow.
     pub fn plan(&self, workflow: &Workflow) -> PlacementPlan {
         let n = workflow.file_count();
@@ -288,6 +312,33 @@ mod tests {
             plan.tier(wf.file_by_name("in0").unwrap().id),
             Tier::BurstBuffer
         );
+    }
+
+    #[test]
+    fn placement_specs_parse() {
+        assert_eq!(PlacementPolicy::parse("allbb"), Ok(PlacementPolicy::AllBb));
+        assert_eq!(
+            PlacementPolicy::parse("allpfs"),
+            Ok(PlacementPolicy::AllPfs)
+        );
+        assert_eq!(
+            PlacementPolicy::parse("fraction:0.5"),
+            Ok(PlacementPolicy::FractionToBb { fraction: 0.5 })
+        );
+        assert_eq!(
+            PlacementPolicy::parse("threshold:1e6"),
+            Ok(PlacementPolicy::BySizeThreshold { min_bytes: 1e6 })
+        );
+        for bad in [
+            "fraction:2.0",
+            "fraction:x",
+            "threshold:",
+            "magic",
+            "allbb:1",
+            "",
+        ] {
+            assert!(PlacementPolicy::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -55,6 +55,18 @@ pub enum FailoverPolicy {
     SurvivingBb,
 }
 
+impl FailoverPolicy {
+    /// Parses a failover label: `pfs` ([`Self::RerouteToPfs`]) or `bb`
+    /// ([`Self::SurvivingBb`]).
+    pub fn parse(label: &str) -> Result<FailoverPolicy, String> {
+        match label {
+            "pfs" => Ok(FailoverPolicy::RerouteToPfs),
+            "bb" => Ok(FailoverPolicy::SurvivingBb),
+            other => Err(format!("unknown failover policy {other:?} (pfs | bb)")),
+        }
+    }
+}
+
 /// Storage-access planner for one platform.
 #[derive(Debug, Clone)]
 pub struct StorageSystem {
@@ -371,6 +383,16 @@ mod tests {
     use super::*;
     use wfbb_platform::{presets, BbMode};
     use wfbb_simcore::Engine;
+
+    #[test]
+    fn failover_labels_parse() {
+        assert_eq!(
+            FailoverPolicy::parse("pfs"),
+            Ok(FailoverPolicy::RerouteToPfs)
+        );
+        assert_eq!(FailoverPolicy::parse("bb"), Ok(FailoverPolicy::SurvivingBb));
+        assert!(FailoverPolicy::parse("nvme").is_err());
+    }
 
     fn system(spec: wfbb_platform::PlatformSpec) -> (Engine<u32>, StorageSystem) {
         let mut engine: Engine<u32> = Engine::new();

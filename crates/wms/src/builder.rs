@@ -252,6 +252,23 @@ mod tests {
     use wfbb_storage::Tier;
     use wfbb_workflow::WorkflowBuilder;
 
+    #[test]
+    fn scheduler_labels_parse() {
+        assert_eq!(
+            SchedulerPolicy::parse("affinity"),
+            Ok(SchedulerPolicy::PipelineAffinity)
+        );
+        assert_eq!(
+            SchedulerPolicy::parse("least-loaded"),
+            Ok(SchedulerPolicy::LeastLoaded)
+        );
+        assert_eq!(
+            SchedulerPolicy::parse("round-robin"),
+            Ok(SchedulerPolicy::RoundRobin)
+        );
+        assert!(SchedulerPolicy::parse("chaotic").is_err());
+    }
+
     /// One SWarp-like pipeline: 2 inputs -> resample -> 2 mids -> combine
     /// -> 1 output.
     fn pipeline_workflow(cores: usize) -> Workflow {

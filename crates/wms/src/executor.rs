@@ -60,6 +60,21 @@ pub enum SchedulerPolicy {
     RoundRobin,
 }
 
+impl SchedulerPolicy {
+    /// Parses a scheduler label: `affinity`, `least-loaded` or
+    /// `round-robin`.
+    pub fn parse(label: &str) -> Result<SchedulerPolicy, String> {
+        match label {
+            "affinity" => Ok(SchedulerPolicy::PipelineAffinity),
+            "least-loaded" => Ok(SchedulerPolicy::LeastLoaded),
+            "round-robin" => Ok(SchedulerPolicy::RoundRobin),
+            other => Err(format!(
+                "unknown scheduler {other:?} (affinity | least-loaded | round-robin)"
+            )),
+        }
+    }
+}
+
 /// Engine-activity tags: what each completion means to the executor.
 ///
 /// Public only because [`Executor::new`] accepts a pre-built

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Summarize Criterion results as machine-readable JSON.
+"""Summarize Criterion results, with their spread, as machine-readable JSON.
 
-Walks ``target/criterion`` for ``new/estimates.json`` files (one per
-benchmark) and writes a flat ``{bench_id: median_ns}`` mapping, so CI can
-archive per-commit performance numbers as a build artifact and downstream
-tooling can diff them without parsing Criterion's directory layout.
+Walks ``target/criterion`` for ``new/sample.json`` files (one per
+benchmark; written by real criterion and by the vendored stand-in) and
+writes ``{bench_id: {min, median, max, n}}`` in nanoseconds per
+iteration, so CI can archive per-commit performance numbers as a build
+artifact and downstream tooling can diff them without parsing
+Criterion's directory layout. The median is ``sorted[n // 2]``, the
+sample the stand-in prints.
 
 Usage:
     python3 scripts/bench-summary.py [criterion_dir] [output.json] \
@@ -12,16 +15,9 @@ Usage:
 
 Defaults: ``target/criterion`` and ``BENCH_engine.json``. With
 ``--groups``, only benchmark ids whose first path component is one of
-the named Criterion groups are summarized — so one criterion tree can
-feed several summary files (e.g. ``--groups campaign_throughput
-decision_log`` for the scheduler summary).
-
-A requested group with no estimates (not yet sampled, renamed, or an
-empty directory) still gets a stable entry: a warning on stderr and a
-``null`` placeholder under ``missing`` in the summary, so downstream
-diffs see an explicit hole instead of a silently absent key. The exit
-code is non-zero only when *nothing* was found — no estimates at all, or
-every requested group missing.
+the named Criterion groups are summarized, and a named group with no
+samples (not sampled, renamed, or an empty directory) is an error.
+The exit code is 1 when any requested group, or everything, is missing.
 """
 
 import json
@@ -29,16 +25,22 @@ import os
 import sys
 
 
+def spread(sample):
+    """{min, median, max, n} of one sample.json's per-iteration times."""
+    per_iter = sorted(t / i for t, i in zip(sample["times"], sample["iters"]))
+    return {
+        "min": round(per_iter[0], 1),
+        "median": round(per_iter[len(per_iter) // 2], 1),
+        "max": round(per_iter[-1], 1),
+        "n": len(per_iter),
+    }
+
+
 def collect(criterion_dir, groups=None):
-    """Map benchmark id -> median point estimate in nanoseconds."""
-    medians = {}
+    """Map benchmark id -> spread, in nanoseconds per iteration."""
+    benches = {}
     for root, _dirs, files in os.walk(criterion_dir):
-        if os.path.basename(root) != "new" or "estimates.json" not in files:
-            continue
-        with open(os.path.join(root, "estimates.json")) as fh:
-            estimates = json.load(fh)
-        median = estimates.get("median", {}).get("point_estimate")
-        if median is None:
+        if os.path.basename(root) != "new" or "sample.json" not in files:
             continue
         # <criterion_dir>/<group>/<bench>/new -> "group/bench"; Criterion
         # flattens ungrouped benches to <criterion_dir>/<bench>/new.
@@ -46,8 +48,9 @@ def collect(criterion_dir, groups=None):
         bench_id = rel.replace(os.sep, "/")
         if groups is not None and bench_id.split("/", 1)[0] not in groups:
             continue
-        medians[bench_id] = median
-    return medians
+        with open(os.path.join(root, "sample.json")) as fh:
+            benches[bench_id] = spread(json.load(fh))
+    return benches
 
 
 def main():
@@ -62,36 +65,30 @@ def main():
             return 2
     criterion_dir = args[0] if len(args) > 0 else "target/criterion"
     out_path = args[1] if len(args) > 1 else "BENCH_engine.json"
-    medians = collect(criterion_dir, groups)
-    missing = []
+    benches = collect(criterion_dir, groups)
     if groups is not None:
-        present = {bench_id.split("/", 1)[0] for bench_id in medians}
+        present = {bench_id.split("/", 1)[0] for bench_id in benches}
         missing = sorted(groups - present)
-        for group in missing:
+        if missing:
             print(
-                f"warning: no Criterion estimates for group {group!r} under "
-                f"{criterion_dir!r}; emitting a null placeholder",
+                f"error: no Criterion samples under {criterion_dir!r} for "
+                f"group(s) {', '.join(missing)}",
                 file=sys.stderr,
             )
-    if not medians:
-        print(f"error: no Criterion estimates under {criterion_dir!r}", file=sys.stderr)
+            return 1
+    if not benches:
+        print(f"error: no Criterion samples under {criterion_dir!r}", file=sys.stderr)
         return 1
     summary = {
         "schema": "wfbb-bench-summary",
-        "version": 1,
+        "version": 2,
         "unit": "ns",
-        "medians": dict(sorted(medians.items())),
+        "benches": benches,
     }
-    if missing:
-        # Stable placeholders: every requested-but-absent group appears
-        # explicitly, so artifact diffs distinguish "not sampled" from
-        # "renamed away".
-        summary["missing"] = {group: None for group in missing}
     with open(out_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    note = f", {len(missing)} group(s) missing" if missing else ""
-    print(f"wrote {out_path} ({len(medians)} benchmark(s){note})")
+    print(f"wrote {out_path} ({len(benches)} benchmark(s))")
     return 0
 
 
