@@ -7,7 +7,11 @@
 //! indistinguishable from re-simulating (pinned by `tests/serve.rs`).
 //! Eviction is two-level: a global byte capacity (`--cache-mb`) and a
 //! per-tenant byte budget ([`crate::TenantQuota::max_cached_bytes`]),
-//! both enforced least-recently-used-first.
+//! both enforced least-recently-used-first. An entry is charged at
+//! [`Artifacts::total_bytes`]: its rendered bytes plus the estimated
+//! size of a simulate job's retained report. When a deferred artifact
+//! renders on first fetch, [`ResultCache::charge`] re-charges the entry
+//! at its new size.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -86,34 +90,64 @@ impl ResultCache {
         artifacts: Arc<Artifacts>,
         tenant_budget: usize,
     ) {
-        let bytes = artifacts.total_bytes();
-        if bytes > self.capacity_bytes || bytes > tenant_budget {
-            self.counters.uncacheable += 1;
-            return;
-        }
         if let Some(old) = self.entries.remove(&key) {
             // Same input re-ran (e.g. the entry was evicted mid-run and
             // a concurrent duplicate finished): replace, don't double-count.
             self.used_bytes -= old.bytes;
         }
+        if self.place(key, tenant.to_string(), artifacts, tenant_budget) {
+            self.counters.insertions += 1;
+        } else {
+            self.counters.uncacheable += 1;
+        }
+    }
+
+    /// Charges `key`'s entry at its artifact set's current size, after a
+    /// deferred artifact rendered, and marks it most recently used.
+    /// Least-recently-used entries are evicted until both bounds hold
+    /// again; an entry that alone outgrew a bound is evicted itself.
+    pub fn charge(&mut self, key: u64, tenant_budget: usize) {
+        let Some(entry) = self.entries.remove(&key) else {
+            return;
+        };
+        self.used_bytes -= entry.bytes;
+        if !self.place(key, entry.tenant, entry.artifacts, tenant_budget) {
+            self.counters.evictions += 1;
+        }
+    }
+
+    /// Caches `artifacts` at their current size, evicting LRU entries
+    /// first; `false` (and nothing cached) when the set alone exceeds
+    /// the capacity or the tenant budget.
+    fn place(
+        &mut self,
+        key: u64,
+        tenant: String,
+        artifacts: Arc<Artifacts>,
+        tenant_budget: usize,
+    ) -> bool {
+        let bytes = artifacts.total_bytes();
+        if bytes > self.capacity_bytes || bytes > tenant_budget {
+            return false;
+        }
         while self.used_bytes + bytes > self.capacity_bytes {
             self.evict_lru(None);
         }
-        while self.tenant_bytes(tenant) + bytes > tenant_budget {
-            self.evict_lru(Some(tenant));
+        while self.tenant_bytes(&tenant) + bytes > tenant_budget {
+            self.evict_lru(Some(&tenant));
         }
         self.tick += 1;
         self.used_bytes += bytes;
-        self.counters.insertions += 1;
         self.entries.insert(
             key,
             Entry {
-                tenant: tenant.to_string(),
+                tenant,
                 artifacts,
                 bytes,
                 used: self.tick,
             },
         );
+        true
     }
 
     fn evict_lru(&mut self, tenant: Option<&str>) {
@@ -226,6 +260,58 @@ mod tests {
         c.insert(2, "a", artifacts(50), 10);
         assert_eq!(c.counters().uncacheable, 2);
         assert_eq!(c.len(), 0);
+    }
+
+    /// A fresh simulate job's set: `report.json` rendered, three
+    /// artifacts deferred.
+    fn simulate_artifacts() -> Arc<Artifacts> {
+        let request = crate::JobRequest::parse(
+            br#"{"type":"simulate","workflow":"swarp:1:8","platform":"cori:striped"}"#,
+        )
+        .unwrap();
+        let artifacts = crate::run_request(
+            &request,
+            &std::sync::atomic::AtomicBool::new(false),
+            &std::sync::Mutex::new(Default::default()),
+        )
+        .unwrap();
+        Arc::new(artifacts)
+    }
+
+    #[test]
+    fn charging_a_rendered_artifact_grows_the_entry_and_evicts_lru() {
+        let sim = simulate_artifacts();
+        let small = sim.total_bytes();
+        let trace = sim.get("trace.json").unwrap().len();
+        // `sim` rendered trace.json above; a fresh copy of the same set
+        // is charged before the render.
+        let fresh = simulate_artifacts();
+        assert_eq!(fresh.total_bytes(), small);
+        let budget = small + trace;
+        let mut c = ResultCache::new(usize::MAX);
+        c.insert(1, "alice", artifacts(budget - small), budget);
+        c.insert(2, "bob", artifacts(10), budget);
+        c.insert(3, "alice", Arc::clone(&fresh), budget);
+        assert_eq!(c.tenant_bytes("alice"), budget);
+
+        fresh.get("trace.json").unwrap();
+        c.charge(3, budget);
+        assert_eq!(c.tenant_bytes("alice"), small + trace);
+        assert_eq!(c.used_bytes(), small + trace + 10);
+        assert!(c.get(1).is_none(), "alice's LRU entry evicted");
+        assert!(c.get(2).is_some(), "bob untouched");
+        assert!(c.get(3).is_some());
+        assert_eq!(c.counters().evictions, 1);
+
+        // An entry that alone outgrows the budget is evicted itself.
+        fresh.get("trace.jsonl").unwrap();
+        c.charge(3, budget);
+        assert!(c.get(3).is_none());
+        assert_eq!(c.counters().evictions, 2);
+        assert_eq!(c.used_bytes(), 10);
+        // Charging a key no longer cached is a no-op.
+        c.charge(3, budget);
+        assert_eq!(c.used_bytes(), 10);
     }
 
     #[test]

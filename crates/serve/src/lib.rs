@@ -16,7 +16,8 @@
 //! * [`request`] — JSON job schema, validation, canonicalization, and
 //!   the FNV-1a cache key;
 //! * [`runner`] — executes a parsed request against the engine crates
-//!   and collects the [`Artifacts`];
+//!   and collects the [`Artifacts`] (a simulate job's traces and
+//!   explanation render on first fetch);
 //! * [`cache`] — the byte-bounded, two-level (global + per-tenant)
 //!   LRU result cache;
 //! * [`tenant`] — per-tenant quotas and the admission ledger;
@@ -41,7 +42,7 @@ pub mod tenant;
 
 /// Version tag carried in every request and response body. Bumped on
 /// any breaking change to the wire schema.
-pub const API_VERSION: u32 = 1;
+pub const API_VERSION: u32 = 2;
 
 pub use cache::{CacheCounters, ResultCache};
 pub use metrics::ServeMetrics;

@@ -432,12 +432,6 @@ impl JobRequest {
         h
     }
 
-    /// The cache key as fixed-width hex, used as the job's `input_hash`
-    /// in API responses.
-    pub fn key_hex(&self) -> String {
-        format!("{:016x}", self.cache_key())
-    }
-
     /// Short human-readable label for job listings.
     pub fn label(&self) -> String {
         match &self.kind {

@@ -3,9 +3,15 @@
 //! `campaign` CLI subcommands, so a job submitted over HTTP produces
 //! byte-identical artifacts to the equivalent CLI invocation (pinned by
 //! `tests/serve.rs` and the CI service-smoke step).
+//!
+//! A simulate job renders only `report.json` when it finishes. Its
+//! `explain.json`, `trace.json` and `trace.jsonl` are rendered from the
+//! retained [`SimulationReport`] on their first fetch and kept from
+//! then on; campaign artifacts are rendered at once.
 
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::request::{CampaignRequest, JobKind, JobRequest, SimulateRequest, WorkloadSource};
 use wfbb_platform::{presets, PlatformSpec};
@@ -13,44 +19,182 @@ use wfbb_sched::{
     explain_json, parse_workload, synthetic_jobs, CampaignConfig, CampaignSim, JobSpec,
 };
 use wfbb_storage::{FailoverPolicy, PlacementPolicy};
-use wfbb_wms::{RetryPolicy, SchedulerPolicy, SimulationBuilder, TelemetryConfig};
+use wfbb_wms::{
+    RetryPolicy, SchedulerPolicy, SimulationBuilder, SimulationReport, TelemetryConfig,
+};
 
 /// How many contention hotspots the canned `explain.json` artifact
 /// reports (the CLI's `--explain-json` default).
 const EXPLAIN_TOP_K: usize = 5;
 
-/// A finished job's artifact set: named deterministic byte blobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An exporter that renders a deferred artifact from its report.
+type Render = fn(&SimulationReport) -> String;
+
+/// The exporters a simulate job defers, in canonical order after
+/// `report.json`.
+const DEFERRED: [(&str, Render); 3] = [
+    ("explain.json", |r| r.explain(EXPLAIN_TOP_K).to_json()),
+    ("trace.json", SimulationReport::perfetto_trace_json),
+    ("trace.jsonl", SimulationReport::jsonl_trace),
+];
+
+#[derive(Debug, Clone)]
+enum Body {
+    /// Rendered when the run finished.
+    Ready(Vec<u8>),
+    /// Rendered from `report` on first fetch, then kept in `bytes`.
+    Deferred {
+        render: Render,
+        report: Arc<SimulationReport>,
+        bytes: OnceLock<Vec<u8>>,
+    },
+}
+
+impl Body {
+    fn rendered(&self) -> Option<&[u8]> {
+        match self {
+            Body::Ready(bytes) => Some(bytes),
+            Body::Deferred { bytes, .. } => bytes.get().map(Vec::as_slice),
+        }
+    }
+}
+
+/// A finished job's artifact set: named deterministic byte blobs, some
+/// of them rendered on first fetch.
+#[derive(Debug, Clone)]
 pub struct Artifacts {
-    items: Vec<(String, Vec<u8>)>,
+    items: Vec<(String, Body)>,
+    /// Estimated size of the report the deferred artifacts render from.
+    retained_bytes: usize,
 }
 
 impl Artifacts {
-    /// Wraps a list of `(name, bytes)` artifacts.
+    /// Wraps a list of `(name, bytes)` artifacts, all rendered.
     pub fn new(items: Vec<(String, Vec<u8>)>) -> Artifacts {
-        Artifacts { items }
+        Artifacts {
+            items: items
+                .into_iter()
+                .map(|(name, bytes)| (name, Body::Ready(bytes)))
+                .collect(),
+            retained_bytes: 0,
+        }
     }
 
-    /// The artifact named `name`, if present.
+    /// A simulate job's set: `report.json` now, the [`DEFERRED`]
+    /// exporters over `report` on first fetch.
+    fn simulation(report_json: Vec<u8>, report: SimulationReport) -> Artifacts {
+        let retained_bytes = retained_size(&report);
+        let report = Arc::new(report);
+        let mut items = vec![("report.json".to_string(), Body::Ready(report_json))];
+        items.extend(DEFERRED.iter().map(|&(name, render)| {
+            let body = Body::Deferred {
+                render,
+                report: Arc::clone(&report),
+                bytes: OnceLock::new(),
+            };
+            (name.to_string(), body)
+        }));
+        Artifacts {
+            items,
+            retained_bytes,
+        }
+    }
+
+    /// The artifact named `name`, if present, rendering it first if it
+    /// is deferred and not yet rendered.
     pub fn get(&self, name: &str) -> Option<&[u8]> {
-        self.items
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b.as_slice())
+        let (_, body) = self.items.iter().find(|(n, _)| n == name)?;
+        Some(match body {
+            Body::Ready(bytes) => bytes,
+            Body::Deferred {
+                render,
+                report,
+                bytes,
+            } => bytes.get_or_init(|| render(report).into_bytes()),
+        })
     }
 
-    /// `(name, size)` of every artifact, in canonical order.
-    pub fn manifest(&self) -> Vec<(&str, usize)> {
+    /// Whether `name` is a deferred artifact not rendered yet (its next
+    /// [`Artifacts::get`] renders it).
+    pub fn is_pending(&self, name: &str) -> bool {
         self.items
             .iter()
-            .map(|(n, b)| (n.as_str(), b.len()))
+            .any(|(n, body)| n == name && body.rendered().is_none())
+    }
+
+    /// `(name, size)` of every artifact, in canonical order; the size
+    /// is `None` for a deferred artifact not rendered yet.
+    pub fn manifest(&self) -> Vec<(&str, Option<usize>)> {
+        self.items
+            .iter()
+            .map(|(n, body)| (n.as_str(), body.rendered().map(<[u8]>::len)))
             .collect()
     }
 
-    /// Total payload bytes (the unit of cache accounting).
+    /// The unit of cache accounting: the rendered artifacts' bytes plus
+    /// the estimated size of the report kept for deferred rendering.
+    /// It grows as deferred artifacts render.
     pub fn total_bytes(&self) -> usize {
-        self.items.iter().map(|(_, b)| b.len()).sum()
+        let rendered: usize = self
+            .items
+            .iter()
+            .filter_map(|(_, body)| body.rendered())
+            .map(<[u8]>::len)
+            .sum();
+        rendered + self.retained_bytes
     }
+}
+
+/// Two sets are equal when they name the same artifacts with the same
+/// bytes; comparing renders every deferred artifact.
+impl PartialEq for Artifacts {
+    fn eq(&self, other: &Artifacts) -> bool {
+        self.items.len() == other.items.len()
+            && self
+                .items
+                .iter()
+                .zip(&other.items)
+                .all(|((a, _), (b, _))| a == b && self.get(a) == other.get(b))
+    }
+}
+
+impl Eq for Artifacts {}
+
+/// A deterministic estimate of what a retained report keeps alive:
+/// each vector's length × the size of its element, plus string
+/// lengths, nested vectors included. Allocator slack and spare
+/// capacity are left out, so equal reports always cost the same.
+fn retained_size(r: &SimulationReport) -> usize {
+    let strings =
+        |v: &[(String, f64)]| size_of_val(v) + v.iter().map(|(s, _)| s.len()).sum::<usize>();
+    let mut n = size_of::<SimulationReport>() + r.workflow.len() + strings(&r.stage_contention);
+    for span in r.stage_spans.iter().chain(&r.output_spans) {
+        n += size_of_val(span) + span.file.len() + span.location.len();
+    }
+    for t in &r.tasks {
+        n += size_of_val(t) + t.name.len() + t.category.len() + strings(&t.contention_by_resource);
+    }
+    for c in &r.contention {
+        n += size_of_val(c) + c.name.len();
+    }
+    for f in &r.faults {
+        n += size_of_val(f) + f.kind.len() + f.target.len() + f.description.len();
+    }
+    for s in &r.critical_path {
+        n += size_of_val(s) + s.label.len();
+    }
+    if let Some(t) = &r.telemetry {
+        for res in &t.resources {
+            n += size_of_val(res)
+                + res.name.len()
+                + size_of_val(res.samples.as_slice())
+                + size_of_val(res.histogram.bins());
+        }
+        for c in &t.contention {
+            n += size_of_val(c) + size_of_val(c.blame.as_slice());
+        }
+    }
+    n
 }
 
 /// Live progress of a running job, sampled by the `/events` stream and
@@ -161,18 +305,7 @@ fn run_simulate(req: &SimulateRequest, cancel: &AtomicBool) -> Result<Artifacts,
         report.fault_wait_total,
     );
 
-    Ok(Artifacts::new(vec![
-        ("report.json".into(), summary.into_bytes()),
-        (
-            "explain.json".into(),
-            report.explain(EXPLAIN_TOP_K).to_json().into_bytes(),
-        ),
-        (
-            "trace.json".into(),
-            report.perfetto_trace_json().into_bytes(),
-        ),
-        ("trace.jsonl".into(), report.jsonl_trace().into_bytes()),
-    ]))
+    Ok(Artifacts::simulation(summary.into_bytes(), report))
 }
 
 fn run_campaign_job(
@@ -289,12 +422,45 @@ mod tests {
     }
 
     #[test]
+    fn simulate_traces_render_on_first_get_and_grow_the_charge() {
+        let artifacts = run(
+            r#"{"type":"simulate","workflow":"swarp:1:8","platform":"cori:striped",
+                "placement":"allbb"}"#,
+        )
+        .unwrap();
+        let report = artifacts.get("report.json").unwrap().len();
+        let sizes = |a: &Artifacts| a.manifest().iter().map(|(_, b)| *b).collect::<Vec<_>>();
+        assert_eq!(sizes(&artifacts), [Some(report), None, None, None]);
+        assert!(artifacts.is_pending("trace.jsonl"));
+        assert!(!artifacts.is_pending("report.json"));
+        assert!(!artifacts.is_pending("no-such-artifact"));
+        let before = artifacts.total_bytes();
+        assert!(before > report, "the retained report is charged");
+
+        let first = artifacts.get("trace.jsonl").unwrap().as_ptr();
+        let len = artifacts.get("trace.jsonl").unwrap().len();
+        assert_eq!(
+            artifacts.get("trace.jsonl").unwrap().as_ptr(),
+            first,
+            "a second get reuses the rendered bytes"
+        );
+        assert!(!artifacts.is_pending("trace.jsonl"));
+        assert_eq!(sizes(&artifacts), [Some(report), None, None, Some(len)]);
+        assert_eq!(artifacts.total_bytes(), before + len);
+    }
+
+    #[test]
     fn identical_requests_produce_identical_bytes() {
-        let body = r#"{"type":"campaign","platform":"cori:striped","nodes":4,
-            "policy":"easy","workload":{"type":"synthetic","jobs":3,"seed":11}}"#;
-        let a = run(body).unwrap();
-        let b = run(body).unwrap();
-        assert_eq!(a, b, "deterministic artifact bytes");
+        for body in [
+            r#"{"type":"campaign","platform":"cori:striped","nodes":4,
+                "policy":"easy","workload":{"type":"synthetic","jobs":3,"seed":11}}"#,
+            r#"{"type":"simulate","workflow":"genomes:2","platform":"summit",
+                "nodes":4,"placement":"fraction:0.5"}"#,
+        ] {
+            let (a, b) = (run(body).unwrap(), run(body).unwrap());
+            assert_eq!(a.total_bytes(), b.total_bytes(), "deterministic charge");
+            assert_eq!(a, b, "deterministic artifact bytes");
+        }
     }
 
     #[test]

@@ -107,8 +107,9 @@ impl JobState {
 struct JobEntry {
     tenant: String,
     label: String,
+    /// The canonical input hash; the job document shows it as
+    /// `input_hash`.
     key: u64,
-    key_hex: String,
     request: Arc<JobRequest>,
     state: JobState,
     cached: bool,
@@ -184,7 +185,6 @@ impl Service {
     /// race with retention eviction.
     fn submit(&self, tenant: &str, request: JobRequest) -> Result<(bool, String), QuotaError> {
         let key = request.cache_key();
-        let key_hex = request.key_hex();
         let label = request.label();
         let mut inner = self.inner.lock().expect("service lock");
         let cached = inner.cache.get(key);
@@ -197,7 +197,6 @@ impl Service {
                 tenant: tenant.to_string(),
                 label,
                 key,
-                key_hex,
                 request: Arc::new(request),
                 state: JobState::Done,
                 cached: true,
@@ -221,7 +220,6 @@ impl Service {
             tenant: tenant.to_string(),
             label,
             key,
-            key_hex,
             request: Arc::new(request),
             state: JobState::Queued,
             cached: false,
@@ -501,13 +499,13 @@ fn job_json(entry: &JobEntry, id: u64) -> String {
     let _ = write!(
         out,
         "\"api_version\":{},\"id\":{},\"state\":\"{}\",\"tenant\":\"{}\",\"label\":\"{}\",\
-         \"input_hash\":\"{}\",\"cached\":{},",
+         \"input_hash\":\"{:016x}\",\"cached\":{},",
         crate::API_VERSION,
         id,
         entry.state.label(),
         json_escape(&entry.tenant),
         json_escape(&entry.label),
-        entry.key_hex,
+        entry.key,
         entry.cached,
     );
     let _ = write!(
@@ -528,15 +526,18 @@ fn job_json(entry: &JobEntry, id: u64) -> String {
     }
     out.push_str("\"artifacts\":[");
     if let Some(artifacts) = &entry.artifacts {
-        for (i, (name, bytes)) in artifacts.manifest().iter().enumerate() {
+        for (i, (name, bytes)) in artifacts.manifest().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"bytes\":{bytes}}}",
-                json_escape(name)
-            );
+            let _ = write!(out, "{{\"name\":\"{}\",\"bytes\":", json_escape(name));
+            match bytes {
+                Some(n) => {
+                    let _ = write!(out, "{n}}}");
+                }
+                // A deferred artifact not fetched yet has no size.
+                None => out.push_str("null}"),
+            }
         }
     }
     out.push_str("]}");
@@ -788,18 +789,8 @@ fn timeout_body(entry: &JobEntry, id: u64) -> String {
     )
 }
 
-fn fetch_artifact(id: &str, name: &str, service: &Arc<Service>) -> Response {
-    let Some(id) = parse_id(id) else {
-        return error_body(400, "bad_request", "job id must be an integer");
-    };
-    let inner = service.inner.lock().expect("service lock");
-    let Some(entry) = inner.jobs.get(&id) else {
-        return error_body(
-            404,
-            "not_found",
-            &format!("no job {id} (unknown or expired)"),
-        );
-    };
+/// The answer to an artifact fetch for a job that is not `done`.
+fn unfinished(entry: &JobEntry, id: u64) -> Response {
     match entry.state {
         JobState::TimedOut => Response {
             status: 504,
@@ -811,31 +802,56 @@ fn fetch_artifact(id: &str, name: &str, service: &Arc<Service>) -> Response {
             "job_failed",
             entry.error.as_deref().unwrap_or("simulation failed"),
         ),
-        JobState::Queued | JobState::Running => error_body(
+        _ => error_body(
             409,
             "not_ready",
             &format!("job {id} is {}; poll /v1/jobs/{id}", entry.state.label()),
         ),
-        JobState::Done => {
-            let artifacts = entry.artifacts.as_ref().expect("done job has artifacts");
-            match artifacts.get(name) {
-                None => error_body(
-                    404,
-                    "not_found",
-                    &format!(
-                        "job {id} has no artifact {name:?} (available: {})",
-                        artifacts
-                            .manifest()
-                            .iter()
-                            .map(|(n, _)| *n)
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                ),
-                Some(bytes) => Response::bytes(200, artifact_content_type(name), bytes.to_vec()),
-            }
-        }
     }
+}
+
+fn fetch_artifact(id: &str, name: &str, service: &Arc<Service>) -> Response {
+    let Some(id) = parse_id(id) else {
+        return error_body(400, "bad_request", "job id must be an integer");
+    };
+    // Take the artifact set out from under the lock: rendering a
+    // deferred artifact can take tens of milliseconds, and no other
+    // route should wait for it.
+    let (artifacts, key) = {
+        let inner = service.inner.lock().expect("service lock");
+        let Some(entry) = inner.jobs.get(&id) else {
+            return error_body(
+                404,
+                "not_found",
+                &format!("no job {id} (unknown or expired)"),
+            );
+        };
+        match (entry.state, &entry.artifacts) {
+            (JobState::Done, Some(artifacts)) => (Arc::clone(artifacts), entry.key),
+            _ => return unfinished(entry, id),
+        }
+    };
+    let pending = artifacts.is_pending(name);
+    let Some(bytes) = artifacts.get(name) else {
+        let names: Vec<&str> = artifacts.manifest().iter().map(|(n, _)| *n).collect();
+        return error_body(
+            404,
+            "not_found",
+            &format!(
+                "job {id} has no artifact {name:?} (available: {})",
+                names.join(", ")
+            ),
+        );
+    };
+    let response = Response::bytes(200, artifact_content_type(name), bytes.to_vec());
+    if pending {
+        // The render grew the set: charge it to the cache entry.
+        let mut inner = service.inner.lock().expect("service lock");
+        inner
+            .cache
+            .charge(key, service.config.quota.max_cached_bytes);
+    }
+    response
 }
 
 /// Streams progress heartbeats as chunked NDJSON until the job reaches

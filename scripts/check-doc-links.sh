@@ -11,8 +11,10 @@ cd "$(dirname "$0")/.."
 broken=$(
     git ls-files '*.md' | while IFS= read -r doc; do
         dir=$(dirname "$doc")
-        # Extract the (target) of every [text](target) occurrence.
-        grep -oE '\]\([^)]+\)' "$doc" 2>/dev/null |
+        # Extract the (target) of every [text](target) occurrence. A
+        # file without links makes grep exit 1, which pipefail would
+        # turn into a failure of the whole check.
+        { grep -oE '\]\([^)]+\)' "$doc" 2>/dev/null || true; } |
             sed -E 's/^\]\(//; s/\)$//' |
             while IFS= read -r target; do
                 case "$target" in

@@ -2,7 +2,8 @@
 //! determinism contract *through HTTP* (service campaign bytes ==
 //! library campaign bytes), result-cache soundness (same request twice
 //! → identical bytes, counted as a hit; any perturbation → a different
-//! key), the typed quota errors (`429`/`413`/`504`), and the
+//! key), simulate traces rendered on first fetch with the library's
+//! bytes, the typed quota errors (`429`/`413`/`504`), and the
 //! `/v1/metrics` schema.
 
 use std::io::{Read as _, Write as _};
@@ -13,9 +14,12 @@ use proptest::prelude::*;
 
 use wfbb::platform::{presets, BbMode};
 use wfbb::sched::{
-    run_campaign_logged, synthetic_jobs, BatchPolicy, CampaignConfig, SyntheticConfig,
+    build_workflow, run_campaign_logged, synthetic_jobs, BatchPolicy, CampaignConfig,
+    SyntheticConfig,
 };
 use wfbb::serve::{JobRequest, QuotaLedger, ServeConfig, Server, ServerHandle, TenantQuota};
+use wfbb::storage::PlacementPolicy;
+use wfbb::wms::{SchedulerPolicy, SimulationBuilder, TelemetryConfig};
 
 // The CI smoke campaign: `wfbb campaign --platform cori:striped --nodes 8
 // --policy bb-aware --jobs 8 --seed 7 --max-nodes 2`.
@@ -258,6 +262,105 @@ fn http_campaign_bytes_match_the_library_run_and_repeat_hits_the_cache() {
     let (_, other_done) = await_done(addr, other_id);
     assert_eq!(json_str(&other_done, "state"), "done");
 
+    server.stop();
+}
+
+/// `(name, bytes)` of a job document's artifact list; `bytes` is `None`
+/// for a deferred artifact not rendered yet (`"bytes": null`).
+fn artifact_sizes(job: &serde_json::Value) -> Vec<(String, Option<u64>)> {
+    job.get("artifacts")
+        .and_then(|a| a.as_array())
+        .expect("artifact list")
+        .iter()
+        .map(|a| {
+            let bytes = a.get("bytes").expect("bytes key");
+            assert!(
+                *bytes == serde_json::Value::Null || bytes.as_u64().is_some(),
+                "{a:?}"
+            );
+            (json_str(a, "name"), bytes.as_u64())
+        })
+        .collect()
+}
+
+#[test]
+fn simulate_traces_render_on_first_fetch_byte_identical_to_the_library() {
+    let server = start(ServeConfig::default());
+    let addr = server.addr;
+    let body = r#"{"type":"simulate","workflow":"swarp:1:8","platform":"cori:striped",
+        "nodes":1,"placement":"fraction:0.5"}"#;
+    let (status, job) = submit(addr, "carol", body);
+    assert_eq!(status, 202);
+    let id = job.get("id").unwrap().as_u64().unwrap();
+    let (status, done) = await_done(addr, id);
+    assert_eq!(status, 200);
+    assert_eq!(json_str(&done, "state"), "done");
+    let sizes = artifact_sizes(&done);
+    let names: Vec<&str> = sizes.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        ["report.json", "explain.json", "trace.json", "trace.jsonl"]
+    );
+    assert!(sizes[0].1.is_some(), "report.json is rendered with the run");
+    assert_eq!(
+        sizes[1..].iter().map(|(_, b)| *b).collect::<Vec<_>>(),
+        [None, None, None],
+        "traces and the explanation are not rendered before a fetch"
+    );
+
+    // The library run the service performs for this request.
+    let report = SimulationBuilder::new(
+        presets::cori(1, BbMode::Striped),
+        build_workflow("swarp:1:8").unwrap(),
+    )
+    .placement(PlacementPolicy::parse("fraction:0.5").unwrap())
+    .scheduler(SchedulerPolicy::parse("affinity").unwrap())
+    .telemetry(TelemetryConfig::enabled())
+    .run()
+    .unwrap();
+    let expected = [
+        ("explain.json", report.explain(5).to_json()),
+        ("trace.json", report.perfetto_trace_json()),
+        ("trace.jsonl", report.jsonl_trace()),
+    ];
+    for (i, (name, bytes)) in expected.iter().enumerate() {
+        let fetched = http(
+            addr,
+            "GET",
+            &format!("/v1/jobs/{id}/artifacts/{name}"),
+            &[],
+            b"",
+        );
+        assert_eq!(fetched.status, 200, "{name}");
+        assert!(
+            fetched.body == bytes.as_bytes(),
+            "{name} differs from the library run"
+        );
+        let doc = http(addr, "GET", &format!("/v1/jobs/{id}"), &[], b"");
+        let doc: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&doc.body).unwrap()).unwrap();
+        let sizes = artifact_sizes(&doc);
+        assert_eq!(sizes[i + 1].1, Some(bytes.len() as u64), "{name}");
+        for (later, size) in &sizes[i + 2..] {
+            assert_eq!(*size, None, "{later} renders only when fetched");
+        }
+    }
+
+    // A resubmission is served from the cache with the same bytes.
+    let (status, repeat) = submit(addr, "carol", body);
+    assert_eq!(status, 200);
+    assert_eq!(repeat.get("cached").unwrap().as_bool(), Some(true));
+    let id2 = repeat.get("id").unwrap().as_u64().unwrap();
+    for (name, bytes) in &expected {
+        let fetched = http(
+            addr,
+            "GET",
+            &format!("/v1/jobs/{id2}/artifacts/{name}"),
+            &[],
+            b"",
+        );
+        assert!(fetched.body == bytes.as_bytes(), "cached {name}");
+    }
     server.stop();
 }
 
@@ -565,7 +668,7 @@ fn metrics_endpoint_carries_the_documented_schema() {
         std::str::from_utf8(&http(server.addr, "GET", "/v1/metrics", &[], b"").body).unwrap(),
     )
     .unwrap();
-    assert_eq!(m.get("api_version").unwrap().as_u64(), Some(1));
+    assert_eq!(m.get("api_version").unwrap().as_u64(), Some(2));
     let workers = m.get("workers").unwrap();
     for key in ["configured", "busy", "replaced", "utilization"] {
         assert!(workers.get(key).is_some(), "workers.{key} missing");
