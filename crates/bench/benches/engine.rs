@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use wfbb_simcore::fairshare::{solve, FlowReq};
-use wfbb_simcore::{Engine, FlowSpec, ResourceId, SolveMode};
+use wfbb_simcore::{Engine, EngineConfig, FlowSpec, ResourceId, SolveMode};
 
 /// Max–min solve over `n` flows crossing a shared link plus a private
 /// resource each — the allocation pattern of concurrent pipelines.
@@ -60,8 +60,10 @@ fn bench_engine_events(c: &mut Criterion) {
 /// The naive engine re-solves the whole allocation at every delay end;
 /// the incremental engine skips those solves and pops the heap.
 fn stress_scenario(mode: SolveMode, n: usize) -> usize {
-    let mut engine: Engine<usize> = Engine::new();
-    engine.set_solve_mode(mode);
+    let mut engine: Engine<usize> = Engine::with_config(EngineConfig {
+        solve_mode: mode,
+        ..EngineConfig::default()
+    });
     let link = engine.add_resource("link", 1000.0);
     for i in 0..n {
         engine.spawn_flow(FlowSpec::new(100.0 + i as f64, vec![link]), i);
@@ -119,14 +121,12 @@ fn bench_engine_10k(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot/fork cost vs live engine size: `n` flows contending on one
-/// link plus `n` delay timers, stepped partway so the lazy heap and the
-/// solver workspace are warm. `snapshot` measures the deep clone,
-/// `restore` measures overwriting a live engine from a held snapshot;
-/// together they bound the per-candidate cost of the plan scheduler's
-/// speculative rollouts (docs/snapshot.md).
-fn bench_snapshot_fork(c: &mut Criterion) {
-    let mut group = c.benchmark_group("snapshot_fork");
+/// Fork cost vs live engine size: `n` flows contending on one link plus
+/// `n` delay timers, stepped partway so the lazy heap and the solver
+/// workspace are warm. The deep clone bounds the per-candidate cost of
+/// the plan scheduler's speculative rollouts (docs/snapshot.md).
+fn bench_fork(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fork");
     for n in [16usize, 128, 512] {
         let mut engine: Engine<usize> = Engine::new();
         let link = engine.add_resource("link", 1000.0);
@@ -139,16 +139,8 @@ fn bench_snapshot_fork(c: &mut Criterion) {
         for _ in 0..n / 2 {
             engine.try_step().expect("warm-up steps succeed");
         }
-        group.bench_with_input(BenchmarkId::new("snapshot", n), &n, |b, _| {
-            b.iter(|| black_box(engine.snapshot()))
-        });
-        let snap = engine.snapshot();
-        group.bench_with_input(BenchmarkId::new("restore", n), &n, |b, _| {
-            let mut target = engine.fork();
-            b.iter(|| {
-                target.restore(black_box(&snap));
-                black_box(&target);
-            })
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| black_box(engine.fork()))
         });
     }
     group.finish();
@@ -215,6 +207,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_fairshare, bench_engine_events, bench_engine_stress, bench_engine_10k,
-              bench_snapshot_fork, bench_explain_report, bench_checkpoint_overhead
+              bench_fork, bench_explain_report, bench_checkpoint_overhead
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! * `engine` — kernel microbenchmarks no `wfbb-perf` layer metric
 //!   isolates: the max–min fair-share solver at fixed flow counts, engine
 //!   throughput, Naive vs Incremental on a delay-heavy mix, 10k flows,
-//!   snapshot/restore, the explain build, and checkpointing on vs off.
+//!   engine fork, the explain build, and checkpointing on vs off.
 //!   A sampled run summarized by `scripts/bench-summary.py` is committed
 //!   as `BENCH_engine.json`;
 //! * `figures` — regeneration of every reproduced table and figure

@@ -255,6 +255,14 @@ fn simulate(args: &Args) -> Result<(), CliError> {
             "unrecognized trace format {trace_format:?} (expected perfetto or jsonl)"
         )));
     }
+    let gantt_width = args
+        .get("gantt")
+        .map(|w| match w.parse::<usize>() {
+            Ok(w) if w >= 10 => Ok(w),
+            Ok(_) => Err(CliError("--gantt width must be at least 10 columns".into())),
+            Err(_) => Err(CliError("bad --gantt width".into())),
+        })
+        .transpose()?;
 
     let mut builder = SimulationBuilder::new(platform.clone(), workflow)
         .placement(placement)
@@ -323,10 +331,7 @@ fn simulate(args: &Args) -> Result<(), CliError> {
             category, stats.count, stats.mean_duration, stats.mean_io_time, stats.mean_compute_time
         );
     }
-    if let Some(width) = args.get("gantt") {
-        let width: usize = width
-            .parse()
-            .map_err(|_| CliError("bad --gantt width".into()))?;
+    if let Some(width) = gantt_width {
         println!("\n{}", report.gantt_ascii(width));
     }
     if let Some(k) = args.get("explain") {
@@ -855,6 +860,23 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("failover"), "{err}");
+    }
+
+    #[test]
+    fn gantt_width_below_ten_is_rejected() {
+        for width in ["5", "0"] {
+            let err = run(&rawv(&[
+                "simulate",
+                "--workflow",
+                "swarp:1:8",
+                "--platform",
+                "cori:striped",
+                "--gantt",
+                width,
+            ]))
+            .unwrap_err();
+            assert!(err.to_string().contains("--gantt"), "{err}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::job::JobSpec;
 use crate::policy::{plan_admissions, BatchPolicy, BlockReason, QueuedReq, RunningRes, Verdict};
 use crate::report::{job_metrics, CampaignReport, JobOutcome, JobStatus, UtilSample};
 use wfbb_platform::{BbArchitecture, PlatformInstance, PlatformSpec};
-use wfbb_simcore::{Engine, FaultPlan, SolveMode, TelemetryConfig};
+use wfbb_simcore::{Engine, EngineConfig, FaultPlan, SolveMode, TelemetryConfig};
 use wfbb_storage::{BbPool, StorageSystem};
 use wfbb_wms::{Executor, FaultEvent, FaultSpec, JobTag, RetryPolicy, SchedulerPolicy, Tag};
 
@@ -381,9 +381,11 @@ impl<'a> CampaignSim<'a> {
             .validate()
             .map_err(|e| CampaignError::Platform(e.to_string()))?;
 
-        let mut engine = Engine::new();
-        engine.set_solve_mode(config.solve_mode);
-        engine.set_telemetry_config(config.telemetry.clone());
+        let mut engine = Engine::with_config(EngineConfig {
+            solve_mode: config.solve_mode,
+            telemetry: config.telemetry.clone(),
+            ..EngineConfig::default()
+        });
         let instance = config.platform.instantiate(&mut engine);
         let total_nodes = instance.nodes();
         let bb_devices = instance.bb_devices();

@@ -63,7 +63,9 @@ use crate::EPSILON;
 /// strategy, and the telemetry instruments (see [`crate::telemetry`]).
 ///
 /// Everything defaults to the cheap path: no trace, incremental solving
-/// by connected components, telemetry sampling off.
+/// by connected components, telemetry sampling off. The trace switch and
+/// the solve mode are fixed for the engine's lifetime; only the telemetry
+/// instruments can be changed later ([`Engine::set_telemetry_config`]).
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     /// Record start/end events into the [`TraceLog`].
@@ -98,7 +100,9 @@ pub struct Completion<T> {
     pub tag: T,
 }
 
-/// How the engine recomputes rates and finds the next event.
+/// How the engine recomputes rates and finds the next event. Chosen at
+/// construction through [`EngineConfig::solve_mode`] and fixed for the
+/// engine's lifetime (forks inherit it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveMode {
     /// Re-solve the full allocation in one monolithic progressive-filling
@@ -256,8 +260,8 @@ impl Ord for HeapEvent {
 /// input transfer, its compute phase, ...).
 ///
 /// When `T: Clone` the whole engine state is cloneable, which is the basis
-/// of the snapshot/fork API ([`Engine::snapshot`], [`Engine::restore`],
-/// [`Engine::fork`]) — see `docs/snapshot.md` for the determinism contract.
+/// of [`Engine::fork`] — see `docs/snapshot.md` for the determinism
+/// contract.
 #[derive(Debug, Clone)]
 pub struct Engine<T> {
     resources: Vec<Resource>,
@@ -337,55 +341,21 @@ impl<T> Default for Engine<T> {
     }
 }
 
-/// A frozen copy of an [`Engine`]'s complete state, taken with
-/// [`Engine::snapshot`] and reinstated with [`Engine::restore`].
-///
-/// The snapshot captures *everything* that influences future behavior:
-/// resources and capacities, the activity map, the flow arena (including
-/// per-flow rates, latency phases, and contention blame), the lazy event
-/// heap with its epoch counters, the persistent fair-share workspace, the
-/// deferred-integration watermarks, telemetry and trace state, and any
-/// installed fault plan with its cursor. Restoring and then stepping is
-/// therefore **bitwise identical** to having continued the original run, in
-/// both [`SolveMode::Naive`] and [`SolveMode::Incremental`].
-///
-/// A snapshot is a value: it never goes stale, can be restored any number
-/// of times, and can outlive the engine it came from. Restoring into an
-/// engine discards that engine's current state entirely. See
-/// `docs/snapshot.md` for the full contract.
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot<T> {
-    state: Engine<T>,
-}
-
 impl<T: Clone> Engine<T> {
-    /// Captures the engine's complete state as a value.
-    ///
-    /// Cost is a deep copy of all live state — O(resources + active
-    /// activities + pending heap events). Scratch buffers are cloned too
-    /// (they are cheap and keeping them preserves capacity warm-up
-    /// behavior, though their *contents* never affect results).
-    pub fn snapshot(&self) -> EngineSnapshot<T> {
-        EngineSnapshot {
-            state: self.clone(),
-        }
-    }
-
-    /// Replaces this engine's entire state with the snapshot's.
-    ///
-    /// After `restore`, stepping the engine produces completions bitwise
-    /// identical (ids, tags, and `f64` time bits) to the run the snapshot
-    /// was taken from, under either solve mode.
-    pub fn restore(&mut self, snap: &EngineSnapshot<T>) {
-        *self = snap.state.clone();
-    }
-
     /// Clones the engine into an independent copy that can be stepped
     /// forward hypothetically without affecting `self`.
     ///
-    /// Equivalent to `snapshot()` + restore-into-new-engine, without the
-    /// intermediate value. The fork and the original produce bitwise
-    /// identical event sequences if driven identically.
+    /// The copy is deep: resources and capacities, the activity map, the
+    /// flow arena (per-flow rates, latency phases, contention blame), the
+    /// lazy event heap with its epoch counters, the solver workspaces and
+    /// their component memo, the deferred-integration watermarks,
+    /// telemetry and trace state, and any installed fault plan with its
+    /// cursor. The fork and the original therefore produce **bitwise
+    /// identical** event sequences if driven identically, in either
+    /// [`SolveMode`]. Nothing is shared, so overwriting a dirty engine
+    /// with `*dirty = held.fork()` leaks none of its state. Cost is
+    /// O(resources + active activities + pending heap events); see
+    /// `docs/snapshot.md` for the full contract.
     pub fn fork(&self) -> Engine<T> {
         self.clone()
     }
@@ -414,7 +384,10 @@ impl<T> Engine<T> {
             trace: TraceLog::new(),
             trace_enabled: config.trace,
             mode: config.solve_mode,
-            dirty: false,
+            // A fresh engine has never solved, so its first step solves
+            // (and takes the first telemetry sample) even if nothing
+            // streams yet.
+            dirty: true,
             epoch: 0,
             events: BinaryHeap::new(),
             ws: fairshare::Workspace::new(),
@@ -477,11 +450,6 @@ impl<T> Engine<T> {
     /// Utilization counters for all resources, indexed by resource index.
     pub fn all_stats(&self) -> &[ResourceStats] {
         &self.stats
-    }
-
-    /// Enables or disables trace recording (disabled by default).
-    pub fn set_trace_enabled(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
     }
 
     /// The recorded trace (empty unless tracing was enabled).
@@ -564,20 +532,6 @@ impl<T> Engine<T> {
     /// resource index (always maintained).
     pub fn resource_blame(&self) -> &[ResourceBlame] {
         &self.blame
-    }
-
-    /// Selects between the incremental engine (default) and the naive
-    /// reference path. Usually set before the first step; switching mid-run
-    /// is supported and forces a re-solve.
-    pub fn set_solve_mode(&mut self, mode: SolveMode) {
-        self.mode = mode;
-        self.dirty = true;
-        // The naive path keeps no group order, so the next incremental
-        // solve rebuilds it from the whole streaming set.
-        self.order.clear();
-        self.order_ids.clear();
-        self.newly_streaming.clear();
-        self.newly_streaming.extend_from_slice(&self.streams);
     }
 
     /// Installs a deterministic fault schedule. Capacity events are applied
@@ -770,8 +724,13 @@ impl<T> Engine<T> {
         id
     }
 
-    /// Pushes a pending event, counting heap traffic.
+    /// Pushes a pending event, counting heap traffic. The naive path finds
+    /// events by scanning the activity table and never reads the heap, so
+    /// it pushes nothing.
     fn push_event(&mut self, ev: HeapEvent) {
+        if self.mode == SolveMode::Naive {
+            return;
+        }
         self.telemetry.counters.heap_pushes += 1;
         self.events.push(Reverse(ev));
     }
@@ -1355,15 +1314,6 @@ impl<T> Engine<T> {
                     let slot = self.promote_buf[k];
                     self.make_streaming(slot);
                 }
-                // The heap is not consulted in naive mode; drain the window
-                // anyway so it stays bounded and mode switches stay cheap.
-                while let Some(&Reverse(ev)) = self.events.peek() {
-                    if ev.time > t_next + EPSILON {
-                        break;
-                    }
-                    self.events.pop();
-                    self.telemetry.counters.heap_pops += 1;
-                }
             }
             SolveMode::Incremental => {
                 self.window_buf.clear();
@@ -1578,6 +1528,13 @@ impl<T> Engine<T> {
 mod tests {
     use super::*;
 
+    fn with_mode<T>(mode: SolveMode) -> Engine<T> {
+        Engine::with_config(EngineConfig {
+            solve_mode: mode,
+            ..EngineConfig::default()
+        })
+    }
+
     #[test]
     fn empty_engine_yields_no_completions() {
         let mut e: Engine<()> = Engine::new();
@@ -1729,8 +1686,10 @@ mod tests {
 
     #[test]
     fn trace_records_start_and_end() {
-        let mut e: Engine<&str> = Engine::new();
-        e.set_trace_enabled(true);
+        let mut e: Engine<&str> = Engine::with_config(EngineConfig {
+            trace: true,
+            ..EngineConfig::default()
+        });
         let link = e.add_resource("link", 100.0);
         e.spawn_flow_labeled(FlowSpec::new(100.0, vec![link]), "f", Some("read:file1"));
         e.run_to_completion();
@@ -1785,8 +1744,10 @@ mod tests {
 
     #[test]
     fn trace_intervals_reconstruct_activity_lifetimes() {
-        let mut e: Engine<u8> = Engine::new();
-        e.set_trace_enabled(true);
+        let mut e: Engine<u8> = Engine::with_config(EngineConfig {
+            trace: true,
+            ..EngineConfig::default()
+        });
         let link = e.add_resource("link", 100.0);
         e.spawn_flow_labeled(FlowSpec::new(200.0, vec![link]), 1, Some("first"));
         e.spawn_flow_labeled(FlowSpec::new(600.0, vec![link]), 2, Some("second"));
@@ -1877,44 +1838,13 @@ mod tests {
 
     #[test]
     fn naive_mode_also_detects_stall() {
-        let mut e: Engine<&str> = Engine::new();
-        e.set_solve_mode(SolveMode::Naive);
+        let mut e: Engine<&str> = with_mode(SolveMode::Naive);
         let link = e.add_resource("link", 100.0);
         e.spawn_flow(FlowSpec::new(1.0, vec![link]).with_rate_cap(1e-12), "stuck");
         assert!(matches!(
             e.try_step(),
             Err(EngineError::Stalled { active: 1, .. })
         ));
-    }
-
-    #[test]
-    fn switching_to_incremental_mid_run_rebuilds_the_group_order() {
-        let run = |switch_at: Option<usize>| {
-            let mut e: Engine<u32> = Engine::new();
-            e.set_solve_mode(SolveMode::Naive);
-            let links = [e.add_resource("a", 100.0), e.add_resource("b", 60.0)];
-            for i in 0..8u32 {
-                let spec = FlowSpec::new(100.0 + 30.0 * i as f64, vec![links[i as usize % 2]]);
-                e.spawn_flow(spec.with_latency(i as f64), i);
-            }
-            let mut ends = Vec::new();
-            while let Some(c) = e.try_step().unwrap() {
-                ends.push((c.tag, c.time.seconds()));
-                if Some(ends.len()) == switch_at {
-                    e.set_solve_mode(SolveMode::Incremental);
-                }
-            }
-            ends
-        };
-        let reference = run(None);
-        for switch_at in 1..reference.len() {
-            let switched = run(Some(switch_at));
-            assert_eq!(switched.len(), reference.len());
-            for (a, b) in switched.iter().zip(&reference) {
-                assert_eq!(a.0, b.0);
-                assert!((a.1 - b.1).abs() <= 1e-9 * b.1.max(1.0), "{a:?} vs {b:?}");
-            }
-        }
     }
 
     #[test]
@@ -1987,8 +1917,7 @@ mod tests {
     /// completion sequences (exact tags/ids, times within 1e-9).
     fn assert_modes_agree(build: impl Fn(&mut Engine<usize>)) {
         let run = |mode: SolveMode| {
-            let mut e: Engine<usize> = Engine::new();
-            e.set_solve_mode(mode);
+            let mut e: Engine<usize> = with_mode(mode);
             build(&mut e);
             e.run_to_completion()
                 .iter()
@@ -2048,20 +1977,6 @@ mod tests {
                 e.spawn_flow(FlowSpec::new(60.0, vec![nic, link]), 100 + i);
             }
         });
-    }
-
-    #[test]
-    fn mode_switch_mid_run_keeps_consistency() {
-        let mut e: Engine<u32> = Engine::new();
-        let link = e.add_resource("link", 100.0);
-        e.spawn_flow(FlowSpec::new(200.0, vec![link]), 1);
-        e.spawn_flow(FlowSpec::new(400.0, vec![link]), 2);
-        let c = e.step().unwrap();
-        assert_eq!(c.tag, 1);
-        e.set_solve_mode(SolveMode::Naive);
-        let c = e.step().unwrap();
-        assert_eq!(c.tag, 2);
-        assert!(c.time.approx_eq(SimTime::from_seconds(6.0), 1e-9));
     }
 
     #[test]
@@ -2158,8 +2073,7 @@ mod tests {
     #[test]
     fn contention_attribution_matches_across_modes() {
         let run = |mode: SolveMode| {
-            let mut e: Engine<usize> = Engine::new();
-            e.set_solve_mode(mode);
+            let mut e: Engine<usize> = with_mode(mode);
             let link = e.add_resource("link", 500.0);
             let disk = e.add_resource("disk", 200.0);
             for i in 0..12 {
@@ -2212,8 +2126,7 @@ mod tests {
         // 1000 B over a 100 B/s link; at t=5 the link halves to 50 B/s.
         // 500 B done at t=5, 500 B left at 50 B/s -> ends at t=15.
         for mode in [SolveMode::Naive, SolveMode::Incremental] {
-            let mut e: Engine<&str> = Engine::new();
-            e.set_solve_mode(mode);
+            let mut e: Engine<&str> = with_mode(mode);
             let link = e.add_resource("link", 100.0);
             let mut plan = FaultPlan::new();
             plan.push_capacity(5.0, link, 50.0);
@@ -2319,8 +2232,7 @@ mod tests {
     #[test]
     fn fault_modes_agree() {
         let run = |mode: SolveMode| {
-            let mut e: Engine<usize> = Engine::new();
-            e.set_solve_mode(mode);
+            let mut e: Engine<usize> = with_mode(mode);
             let link = e.add_resource("link", 200.0);
             let disk = e.add_resource("disk", 100.0);
             let mut plan = FaultPlan::new();
@@ -2490,8 +2402,7 @@ mod tests {
                 delays in proptest::collection::vec(0.0f64..15.0, 0..8),
             ) {
                 let run = |mode: SolveMode| {
-                    let mut e: Engine<usize> = Engine::new();
-                    e.set_solve_mode(mode);
+                    let mut e: Engine<usize> = with_mode(mode);
                     let link = e.add_resource("link", 500.0);
                     let disk = e.add_resource("disk", 200.0);
                     for (i, (size, lat, cap)) in flows.iter().enumerate() {

@@ -58,9 +58,7 @@ pub mod time;
 pub mod trace;
 
 pub use activity::FlowSpec;
-pub use engine::{
-    Cancelled, Completion, Engine, EngineConfig, EngineError, EngineSnapshot, SolveMode,
-};
+pub use engine::{Cancelled, Completion, Engine, EngineConfig, EngineError, SolveMode};
 pub use fairshare::Binding;
 pub use fault::{seeded_failures, CapacityFault, FaultPlan};
 pub use ids::{ActivityId, ResourceId};

@@ -34,7 +34,7 @@
 //!
 //! # Determinism
 //!
-//! The engine's snapshot/fork replay contract promises bitwise-identical
+//! The engine's fork replay contract promises bitwise-identical
 //! event streams, and the campaign scheduler's speculative rollouts rely
 //! on it. Components are discovered by a deterministic union-find sweep
 //! over the entry list and indexed in order of first appearance, and each

@@ -25,7 +25,7 @@
 
 use wfbb_platform::{PlatformError, PlatformSpec};
 use wfbb_resilience::CheckpointPolicy;
-use wfbb_simcore::{Engine, SolveMode, TelemetryConfig};
+use wfbb_simcore::{Engine, EngineConfig, SolveMode, TelemetryConfig};
 use wfbb_storage::{FailoverPolicy, PlacementPlan, PlacementPolicy, StorageSystem};
 use wfbb_workflow::Workflow;
 
@@ -65,7 +65,6 @@ pub struct SimulationBuilder {
     plan_override: Option<PlacementPlan>,
     io_concurrency: Option<usize>,
     scheduler: SchedulerPolicy,
-    dynamic_placer: Option<Box<dyn crate::dynamic::DynamicPlacer>>,
     solve_mode: SolveMode,
     telemetry: TelemetryConfig,
     faults: FaultSpec,
@@ -88,7 +87,6 @@ impl SimulationBuilder {
             plan_override: None,
             io_concurrency: None,
             scheduler: SchedulerPolicy::default(),
-            dynamic_placer: None,
             solve_mode: SolveMode::default(),
             telemetry: TelemetryConfig::default(),
             faults: FaultSpec::new(),
@@ -163,14 +161,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Installs an online placer that decides every write's tier at
-    /// runtime (overriding the static plan for non-input files; staging
-    /// still follows the plan). See [`crate::dynamic`].
-    pub fn dynamic_placer(mut self, placer: Box<dyn crate::dynamic::DynamicPlacer>) -> Self {
-        self.dynamic_placer = Some(placer);
-        self
-    }
-
     /// Selects the engine's solve strategy (default:
     /// [`SolveMode::Incremental`]). The naive mode exists for A/B
     /// verification of the incremental engine.
@@ -194,9 +184,11 @@ impl SimulationBuilder {
         self.platform
             .validate()
             .map_err(SimulationError::Platform)?;
-        let mut engine = Engine::new();
-        engine.set_solve_mode(self.solve_mode);
-        engine.set_telemetry_config(self.telemetry);
+        let mut engine = Engine::with_config(EngineConfig {
+            solve_mode: self.solve_mode,
+            telemetry: self.telemetry,
+            ..EngineConfig::default()
+        });
         let instance = self.platform.instantiate(&mut engine);
         let mut storage = StorageSystem::new(instance);
         storage.set_failover(self.failover);
@@ -232,9 +224,6 @@ impl SimulationBuilder {
             self.io_concurrency,
             self.scheduler,
         );
-        if let Some(placer) = self.dynamic_placer {
-            executor.set_dynamic_placer(placer);
-        }
         if let Some(policy) = self.checkpoint {
             executor.set_checkpoint_policy(policy);
         }

@@ -37,7 +37,6 @@ use wfbb_storage::system::AccessPlan;
 use wfbb_storage::{FileRegistry, Location, PlacementPlan, StorageSystem, Tier};
 use wfbb_workflow::{amdahl_time, FileId, TaskId, Workflow};
 
-use crate::dynamic::{DynamicPlacer, PlacementContext};
 use crate::fault::{FaultEvent, RetryPolicy};
 use crate::report::{
     CriticalStep, CriticalStepKind, FaultRecord, ResourceContention, SimulationReport, StageSpan,
@@ -352,15 +351,11 @@ impl From<EngineError> for ExecutorError {
 /// Drives one workflow execution through the engine.
 pub struct Executor {
     engine: Rc<RefCell<Engine<JobTag>>>,
-    /// Online placer consulted for every task write (boxed placers are
-    /// stateful trait objects, so they stay out of the cloneable state).
-    dynamic_placer: Option<Box<dyn DynamicPlacer>>,
     /// Everything else; [`Executor::fork`] deep-copies it.
     s: State,
 }
 
-/// The executor's cloneable state: everything but the engine handle and
-/// the dynamic placer.
+/// The executor's cloneable state: everything but the engine handle.
 #[derive(Clone)]
 struct State {
     /// Job id stamped on every activity this executor spawns (`0` for
@@ -494,7 +489,6 @@ impl Executor {
         let bb_devices = storage.platform.bb_devices();
         Executor {
             engine,
-            dynamic_placer: None,
             s: State {
                 job,
                 label_prefix: format!("j{job}/"),
@@ -543,26 +537,15 @@ impl Executor {
     /// Clones this executor against a forked engine, so the copy can be
     /// driven forward hypothetically without touching the original run.
     ///
-    /// `engine` must be a fork (or snapshot-restore) of the engine this
-    /// executor currently drives — activity ids and resource handles held
-    /// by the executor's state are only meaningful against that engine's
-    /// state. All task, stage, contention, reservation, and fault-recovery
-    /// state is deep-copied; driving the fork and the original identically
-    /// yields bitwise-identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dynamic placer is installed: boxed placers are
-    /// stateful trait objects and cannot be cloned. Campaign executors
-    /// never install one.
+    /// `engine` must be a fork of the engine this executor currently
+    /// drives — activity ids and resource handles held by the executor's
+    /// state are only meaningful against that engine's state. All task,
+    /// stage, contention, reservation, and fault-recovery state is
+    /// deep-copied; driving the fork and the original identically yields
+    /// bitwise-identical results.
     pub fn fork(&self, engine: Rc<RefCell<Engine<JobTag>>>) -> Executor {
-        assert!(
-            self.dynamic_placer.is_none(),
-            "cannot fork an executor with a dynamic placer installed"
-        );
         Executor {
             engine,
-            dynamic_placer: None,
             s: self.s.clone(),
         }
     }
@@ -573,11 +556,6 @@ impl Executor {
     pub fn set_fault_injection(&mut self, events: Vec<FaultEvent>, retry: RetryPolicy) {
         self.s.faults = events;
         self.s.retry = retry;
-    }
-
-    /// Installs an online placer consulted for every task write.
-    pub fn set_dynamic_placer(&mut self, placer: Box<dyn DynamicPlacer>) {
-        self.dynamic_placer = Some(placer);
     }
 
     /// Installs the checkpoint policy: each task's compute is cut into
@@ -1271,24 +1249,13 @@ impl Executor {
     }
 
     /// Opens `task`'s read or write of `file`. Reads come from the
-    /// registry; writes go where the placement plan (or the dynamic
-    /// placer) dictates, spilling to the PFS when the target BB device
-    /// is full.
+    /// registry; writes go where the placement plan dictates, spilling
+    /// to the PFS when the target BB device is full.
     fn start_access(&mut self, task: TaskId, file: FileId, write: bool, start: SimTime) {
         let node = self.s.states[task.index()].node;
         let size = self.s.workflow.file(file).size;
         let (kind, loc) = if write {
-            let tier = match &mut self.dynamic_placer {
-                Some(placer) => placer.place(&PlacementContext {
-                    workflow: &self.s.workflow,
-                    file,
-                    task,
-                    node,
-                    bb_used: &self.s.bb_used,
-                    bb_capacity: self.s.storage.platform.spec.bb_capacity,
-                }),
-                None => self.s.plan.tier(file),
-            };
+            let tier = self.s.plan.tier(file);
             (AccessKind::Write(task, file), self.place(tier, node, size))
         } else {
             let loc = self.s.registry.require(file).clone();

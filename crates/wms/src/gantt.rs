@@ -1,102 +1,26 @@
-//! Gantt-chart views of a simulation report.
+//! Gantt-chart view of a simulation report.
 //!
-//! Turns per-task records into per-node timelines for inspection and
-//! plotting: a JSON export (one object per task with node, phase
-//! boundaries, and pipeline tag) and a quick ASCII rendering for
-//! terminals. Phase boundaries are exact simulation timestamps, so
-//! downstream tools can reconstruct read/compute/write occupancy.
+//! Turns per-task records into per-node timelines and renders them as a
+//! quick ASCII chart for terminals (the CLI's `--gantt`). Phase
+//! boundaries are exact simulation timestamps. For a chart to load in
+//! Perfetto or `chrome://tracing`, use
+//! [`SimulationReport::perfetto_trace_json`](crate::traceexport).
 
 use crate::report::{SimulationReport, TaskRecord};
-
-/// One Gantt lane entry.
-#[derive(Debug, Clone)]
-pub struct GanttEntry<'a> {
-    /// The underlying task record.
-    pub record: &'a TaskRecord,
-}
 
 impl SimulationReport {
     /// Task records grouped by compute node, each group sorted by start
     /// time (ties by task id).
-    pub fn gantt_by_node(&self) -> Vec<Vec<GanttEntry<'_>>> {
+    fn gantt_by_node(&self) -> Vec<Vec<&TaskRecord>> {
         let nodes = self.tasks.iter().map(|t| t.node).max().map_or(0, |n| n + 1);
-        let mut lanes: Vec<Vec<GanttEntry<'_>>> = (0..nodes).map(|_| Vec::new()).collect();
+        let mut lanes: Vec<Vec<&TaskRecord>> = (0..nodes).map(|_| Vec::new()).collect();
         for t in &self.tasks {
-            lanes[t.node].push(GanttEntry { record: t });
+            lanes[t.node].push(t);
         }
         for lane in &mut lanes {
-            lane.sort_by(|a, b| {
-                a.record
-                    .start
-                    .cmp(&b.record.start)
-                    .then(a.record.task.cmp(&b.record.task))
-            });
+            lane.sort_by(|a, b| a.start.cmp(&b.start).then(a.task.cmp(&b.task)));
         }
         lanes
-    }
-
-    /// Exports the schedule as a JSON array (one object per task), stable
-    /// across runs for a given input.
-    pub fn gantt_json(&self) -> String {
-        let mut out = String::from("[\n");
-        for (i, t) in self.tasks.iter().enumerate() {
-            let sep = if i + 1 == self.tasks.len() { "" } else { "," };
-            out.push_str(&format!(
-                "  {{\"task\":\"{}\",\"category\":\"{}\",\"node\":{},\"cores\":{},\
-                 \"pipeline\":{},\"start\":{:.6},\"read_end\":{:.6},\"compute_end\":{:.6},\
-                 \"end\":{:.6}}}{}\n",
-                t.name,
-                t.category,
-                t.node,
-                t.cores,
-                t.pipeline.map_or("null".to_string(), |p| p.to_string()),
-                t.start.seconds(),
-                t.read_end.seconds(),
-                t.compute_end.seconds(),
-                t.end.seconds(),
-                sep
-            ));
-        }
-        out.push(']');
-        out
-    }
-
-    /// Exports the schedule in the Chrome tracing format (load in
-    /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)): one
-    /// process per compute node, one complete event per task phase
-    /// (read / compute / write), timestamps in microseconds.
-    ///
-    /// This is the minimal task-phase-only export; prefer
-    /// [`SimulationReport::perfetto_trace_json`](crate::traceexport)
-    /// (the CLI's `--trace-out`), which adds stage lanes, attribution
-    /// args, and telemetry counter tracks.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut events = Vec::new();
-        for t in &self.tasks {
-            let phases = [
-                ("read", t.start.seconds(), t.read_end.seconds()),
-                ("compute", t.read_end.seconds(), t.compute_end.seconds()),
-                ("write", t.compute_end.seconds(), t.end.seconds()),
-            ];
-            for (phase, begin, end) in phases {
-                if end > begin {
-                    events.push(format!(
-                        concat!(
-                            "{{\"name\":\"{}:{}\",\"cat\":\"{}\",\"ph\":\"X\",",
-                            "\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}}}"
-                        ),
-                        t.name,
-                        phase,
-                        t.category,
-                        begin * 1e6,
-                        (end - begin) * 1e6,
-                        t.node,
-                        t.task.index(),
-                    ));
-                }
-            }
-        }
-        format!("[{}]", events.join(",\n "))
     }
 
     /// Renders a compact ASCII Gantt chart, `width` characters wide.
@@ -114,8 +38,7 @@ impl SimulationReport {
             .unwrap_or(4)
             .min(24);
         for lane in self.gantt_by_node() {
-            for entry in lane {
-                let t = entry.record;
+            for t in lane {
                 let mut row = vec![' '; width];
                 let (s, r, c, e) = (
                     col(t.start.seconds()),
@@ -188,65 +111,9 @@ mod tests {
         assert_eq!(total, 2);
         for lane in lanes {
             for w in lane.windows(2) {
-                assert!(w[0].record.start <= w[1].record.start);
+                assert!(w[0].start <= w[1].start);
             }
         }
-    }
-
-    #[test]
-    fn json_is_parseable_and_complete() {
-        let r = report();
-        let json = r.gantt_json();
-        let parsed: serde_json_value_check::Value = serde_json_value_check::parse(&json);
-        assert_eq!(parsed.array_len(), 2);
-        assert!(json.contains("\"task\":\"a\""));
-        assert!(json.contains("\"pipeline\":1"));
-    }
-
-    /// Minimal JSON sanity checker (avoids a serde_json dev-dependency
-    /// here): validates bracket balance and counts top-level objects.
-    mod serde_json_value_check {
-        pub struct Value {
-            objects: usize,
-        }
-        impl Value {
-            pub fn array_len(&self) -> usize {
-                self.objects
-            }
-        }
-        pub fn parse(s: &str) -> Value {
-            let mut depth = 0i32;
-            let mut objects = 0usize;
-            for ch in s.chars() {
-                match ch {
-                    '[' | '{' => {
-                        depth += 1;
-                        if ch == '{' && depth == 2 {
-                            objects += 1;
-                        }
-                    }
-                    ']' | '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            assert_eq!(depth, 0, "unbalanced JSON");
-            Value { objects }
-        }
-    }
-
-    #[test]
-    fn chrome_trace_has_one_event_per_nonempty_phase() {
-        let r = report();
-        let trace = r.chrome_trace_json();
-        assert!(trace.starts_with('[') && trace.ends_with(']'));
-        // Two tasks with read(+meta)/compute/write each; at minimum the
-        // compute phases appear.
-        assert!(trace.matches("\"ph\":\"X\"").count() >= 2);
-        assert!(trace.contains("\"name\":\"a:compute\""));
-        assert!(trace.contains("\"pid\":0"));
-        assert!(trace.contains("\"pid\":1"));
-        // Balanced braces.
-        assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     }
 
     #[test]
@@ -270,8 +137,6 @@ mod tests {
         let r = SimulationBuilder::new(presets::summit(1), wf)
             .run()
             .unwrap();
-        assert_eq!(r.gantt_json(), "[\n]");
-        assert_eq!(r.chrome_trace_json(), "[]");
         assert!(r.gantt_by_node().is_empty());
         assert_eq!(r.gantt_ascii(20), "");
         assert_eq!(r.mean_utilization(), 0.0);
@@ -343,21 +208,6 @@ mod tests {
             cores_per_node: 4,
             telemetry: None,
         }
-    }
-
-    #[test]
-    fn json_snapshot_is_stable() {
-        let r = synthetic_report();
-        let expected = "[\n  \
-            {\"task\":\"a\",\"category\":\"x\",\"node\":0,\"cores\":2,\
-            \"pipeline\":0,\"start\":0.000000,\"read_end\":2.000000,\
-            \"compute_end\":8.000000,\"end\":10.000000},\n  \
-            {\"task\":\"b\",\"category\":\"y\",\"node\":1,\"cores\":1,\
-            \"pipeline\":null,\"start\":1.000000,\"read_end\":1.500000,\
-            \"compute_end\":4.000000,\"end\":5.000000}\n]";
-        assert_eq!(r.gantt_json(), expected);
-        // Stable across repeated calls (no hidden iteration-order state).
-        assert_eq!(r.gantt_json(), r.gantt_json());
     }
 
     #[test]

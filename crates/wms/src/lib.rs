@@ -32,7 +32,6 @@
 #![deny(missing_docs)]
 
 pub mod builder;
-pub mod dynamic;
 pub mod executor;
 pub mod explain;
 pub mod fault;
@@ -41,7 +40,6 @@ pub mod report;
 pub mod traceexport;
 
 pub use builder::{SimulationBuilder, SimulationError};
-pub use dynamic::{DynamicPlacer, PlacementContext};
 pub use executor::{Executor, ExecutorError, JobTag, SchedulerPolicy, Tag};
 pub use explain::{Explanation, Hotspot, PathComposition, TierBandwidth};
 pub use fault::{FaultEvent, FaultSpec, FaultSpecError, RetryPolicy};

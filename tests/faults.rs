@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 
 use wfbb::prelude::*;
+use wfbb::simcore::EngineConfig;
 use wfbb::storage::StorageSystem;
 use wfbb::wms::executor::Executor;
 use wfbb::wms::{FaultEvent, FaultSpec, RetryPolicy, SchedulerPolicy};
@@ -79,8 +80,10 @@ fn run_with_empty_plan(
     mode: SolveMode,
 ) -> SimulationReport {
     platform.validate().unwrap();
-    let mut engine = Engine::new();
-    engine.set_solve_mode(mode);
+    let mut engine = Engine::with_config(EngineConfig {
+        solve_mode: mode,
+        ..EngineConfig::default()
+    });
     // An empty engine-level capacity-fault plan must be inert too.
     engine.set_fault_plan(&wfbb::simcore::FaultPlan::new());
     let instance = platform.instantiate(&mut engine);

@@ -9,9 +9,9 @@
 //!    from the single-pass solve only through cross-component tolerance
 //!    ties, far below the engine's `EPSILON`; completion times agree to
 //!    the same 1e-9 relative tolerance as the `SolveMode` A/B suite.
-//! 2. **Snapshot/fork replay is bitwise.** Restoring a snapshot taken
-//!    mid-run replays bitwise in both modes, with and without capacity
-//!    faults, exactly as `docs/snapshot.md` promises.
+//! 2. **Fork replay is bitwise.** A fork taken mid-run replays bitwise
+//!    in both modes, with and without capacity faults, exactly as
+//!    `docs/snapshot.md` promises.
 //!
 //! Degenerate decompositions — one giant component, all singletons, and a
 //! component merge mid-run when a latent flow opens a shared route — are
@@ -148,33 +148,25 @@ proptest! {
         );
     }
 
-    /// Snapshot/fork replay is bitwise in both modes: restoring a mid-run
-    /// snapshot and draining matches the uninterrupted run exactly, and a
-    /// fork drains identically to its original.
+    /// Fork replay is bitwise in both modes: a fork taken mid-run drains
+    /// identically to its original.
     #[test]
     fn snapshot_fork_replay_is_bitwise(
         seed in 0u64..10_000,
-        snap_at in 0usize..12,
+        fork_at in 0usize..12,
         faulty in 0u64..2,
     ) {
         let with_faults = faulty == 1;
         for mode in [SolveMode::Naive, SolveMode::Incremental] {
             let mut original = build_engine(seed, mode, with_faults);
-            for _ in 0..snap_at {
+            for _ in 0..fork_at {
                 match original.try_step() {
                     Ok(Some(_)) => {}
                     _ => break,
                 }
             }
-            let snap = original.snapshot();
-            let fork = original.fork();
+            let mut fork = original.fork();
             let rest = drain(&mut original);
-
-            let mut restored = build_engine(seed.wrapping_add(1), mode, !with_faults);
-            restored.restore(&snap);
-            prop_assert_eq!(&drain(&mut restored), &rest, "restore diverged");
-
-            let mut fork = fork;
             prop_assert_eq!(&drain(&mut fork), &rest, "fork diverged");
         }
     }

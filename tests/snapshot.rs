@@ -1,12 +1,12 @@
-//! Snapshot/fork determinism contract tests.
+//! Fork determinism contract tests.
 //!
 //! The pinned guarantee (`docs/snapshot.md`): running an engine after
-//! `snapshot()`/`restore()` is **bitwise identical** — activity ids, tags,
-//! and the exact `f64` bit patterns of completion times — to the
-//! uninterrupted run, in both solve modes, with and without capacity
-//! faults, from any snapshot point. The same holds one layer up for
-//! `CampaignSim::fork`, which is what the `plan` scheduling policy (and
-//! future mid-campaign checkpointing) builds on.
+//! `fork()` is **bitwise identical** — activity ids, tags, and the exact
+//! `f64` bit patterns of completion times — to the uninterrupted run, in
+//! both solve modes, with and without capacity faults, from any fork
+//! point. The same holds one layer up for `CampaignSim::fork`, which is
+//! what the `plan` scheduling policy (and future mid-campaign
+//! checkpointing) builds on.
 
 use proptest::prelude::*;
 
@@ -103,46 +103,42 @@ fn drain(engine: &mut Engine<u64>) -> (Vec<Event>, Option<String>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// snapshot → run-to-completion is bitwise equal to the uninterrupted
-    /// run, from any event index, in both solve modes, with and without
-    /// capacity faults — even when restoring over a *different* engine's
-    /// state.
+    /// fork → run-to-completion is bitwise equal to the uninterrupted run,
+    /// from any event index, in both solve modes, with and without
+    /// capacity faults — even when the fork overwrites a *different*
+    /// engine's state.
     #[test]
-    fn snapshot_restore_replays_bitwise(
+    fn fork_replays_bitwise(
         seed in 0u64..10_000,
-        snap_at in 0usize..12,
+        fork_at in 0usize..12,
         faulty in 0u64..2,
     ) {
         let with_faults = faulty == 1;
         for mode in [SolveMode::Naive, SolveMode::Incremental] {
             let mut original = build_engine(seed, mode, with_faults);
-            for _ in 0..snap_at {
+            for _ in 0..fork_at {
                 match original.try_step() {
                     Ok(Some(_)) => {}
                     _ => break,
                 }
             }
-            let snap = original.snapshot();
-            let fork = original.fork();
+            let mut held = original.fork();
 
             // The uninterrupted run: the original simply continues.
             let uninterrupted = drain(&mut original);
 
-            // Restore over a dirty, unrelated engine: the old state must
-            // not leak through.
-            let mut restored = build_engine(seed ^ 0x5eed, mode, !with_faults);
-            let _ = restored.try_step();
-            restored.restore(&snap);
-            prop_assert_eq!(&drain(&mut restored), &uninterrupted, "restore ({mode:?})");
+            // Overwrite a dirty, unrelated engine with a fork: the old
+            // state must not leak through.
+            let mut dirty = build_engine(seed ^ 0x5eed, mode, !with_faults);
+            let _ = dirty.try_step();
+            dirty = held.fork();
+            prop_assert_eq!(&drain(&mut dirty), &uninterrupted, "fork over dirty ({mode:?})");
 
-            // A fork taken at the same instant replays identically too.
-            let mut fork = fork;
-            prop_assert_eq!(&drain(&mut fork), &uninterrupted, "fork ({mode:?})");
-
-            // Snapshots are reusable values: a second restore replays
-            // the identical sequence again.
-            restored.restore(&snap);
-            prop_assert_eq!(&drain(&mut restored), &uninterrupted, "re-restore ({mode:?})");
+            // A held fork is a reusable value: forking it again replays
+            // the identical sequence again, and so does the held copy.
+            dirty = held.fork();
+            prop_assert_eq!(&drain(&mut dirty), &uninterrupted, "re-fork ({mode:?})");
+            prop_assert_eq!(&drain(&mut held), &uninterrupted, "held fork ({mode:?})");
         }
     }
 }

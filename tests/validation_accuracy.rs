@@ -3,8 +3,9 @@
 //!
 //! "Measured" is the measurement emulator (our stand-in for the real
 //! Cori/Summit runs; see DESIGN.md §2); "simulated" is the clean model.
-//! The assertions bound the mean absolute percentage error to the same
-//! order as the paper's reported 5.6–15.9 %.
+//! Each bound is the full-sweep error EXPERIMENTS.md reports for that
+//! configuration plus 1.5 points, so a model change that moves the error
+//! past what the reproduction documents fails here.
 
 use wfbb::calibration::error::mean_absolute_percentage_error;
 use wfbb::prelude::*;
@@ -44,11 +45,12 @@ fn simulated(
 #[test]
 fn staging_sweep_errors_stay_in_the_papers_band() {
     let emulator = Emulator::default();
-    // Paper Fig 10 errors: 5.6 / 12.8 / 6.5 %. Allow 3x headroom.
+    // Paper Fig 10 errors: 5.6 / 12.8 / 6.5 %; EXPERIMENTS.md full sweep:
+    // 10.76 / 10.36 / 3.95 %.
     for (platform, bound) in [
-        (wfbb::platform::presets::cori(1, BbMode::Private), 20.0),
-        (wfbb::platform::presets::cori(1, BbMode::Striped), 30.0),
-        (wfbb::platform::presets::summit(1), 20.0),
+        (wfbb::platform::presets::cori(1, BbMode::Private), 12.26),
+        (wfbb::platform::presets::cori(1, BbMode::Striped), 11.86),
+        (wfbb::platform::presets::summit(1), 5.45),
     ] {
         let wf = SwarpConfig::new(1).build();
         let mut measured = Vec::new();
@@ -61,7 +63,7 @@ fn staging_sweep_errors_stay_in_the_papers_band() {
         let mape = mean_absolute_percentage_error(&measured, &sim);
         assert!(
             mape < bound,
-            "{}: error {mape:.1}% exceeds bound {bound}%",
+            "{}: error {mape:.2}% exceeds bound {bound}%",
             platform.name
         );
     }
@@ -70,8 +72,13 @@ fn staging_sweep_errors_stay_in_the_papers_band() {
 #[test]
 fn pipeline_sweep_errors_stay_bounded() {
     let emulator = Emulator::default();
-    // Paper Fig 11 errors: 11.8 / 11.6 / 15.9 %. Allow headroom.
-    for platform in wfbb::platform::presets::paper_configs(1) {
+    // Paper Fig 11 errors: 11.8 / 11.6 / 15.9 %; EXPERIMENTS.md full sweep:
+    // 16.89 / 11.94 / 11.69 %.
+    let bounds = [18.39, 13.44, 13.19];
+    for (platform, bound) in wfbb::platform::presets::paper_configs(1)
+        .into_iter()
+        .zip(bounds)
+    {
         let policy = PlacementPolicy::AllBb;
         let mut measured = Vec::new();
         let mut sim = Vec::new();
@@ -82,8 +89,8 @@ fn pipeline_sweep_errors_stay_bounded() {
         }
         let mape = mean_absolute_percentage_error(&measured, &sim);
         assert!(
-            mape < 40.0,
-            "{}: error {mape:.1}% out of band",
+            mape < bound,
+            "{}: error {mape:.2}% exceeds bound {bound}%",
             platform.name
         );
     }
